@@ -39,7 +39,6 @@ from .filtration import (
     Monomial,
     ScalarComplex,
     expand,
-    feasible,
     gamma_at,
     gamma_sweep,
     gimel_from_gamma,

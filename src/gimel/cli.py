@@ -13,12 +13,13 @@ import hashlib
 import json
 import os
 import sys
+import tempfile
 from fractions import Fraction
-from typing import Dict, List, Optional, Sequence
+from typing import Dict, List, Optional, Tuple
 
 import click
 
-from . import complexes, pipeline, verify
+from . import __version__, complexes, pipeline, verify
 from .complexes import GradedFreeComplex, dual, tensor, validate
 from .errors import (
     DecompositionError,
@@ -69,12 +70,14 @@ def pl_to_dict(f: PiecewiseLinear) -> dict:
 
 
 def pl_from_dict(d: dict) -> PiecewiseLinear:
-    return PiecewiseLinear.from_points(
-        zip(
-            (str_to_frac(t) for t in d["breakpoints"]),
-            (str_to_frac(v) for v in d["values"]),
+    if not isinstance(d, dict):
+        raise MalformedInputError("a piecewise-linear function must be a JSON object")
+    ts, vs = d.get("breakpoints"), d.get("values")
+    if not (isinstance(ts, list) and isinstance(vs, list) and len(ts) == len(vs)):
+        raise MalformedInputError(
+            "'breakpoints' and 'values' must be lists of equal length"
         )
-    )
+    return PiecewiseLinear.from_points(zip(map(str_to_frac, ts), map(str_to_frac, vs)))
 
 
 # ---------------------------------------------------------------------------
@@ -110,19 +113,22 @@ def fixture_from_dict(d: dict) -> GradedFreeComplex:
     if kind == EQUIVARIANT:
         ctx = equivariant_ctx(n)
     elif kind == SPECIALIZED:
-        if "potential" not in d:
-            raise MalformedInputError("specialized fixture missing 'potential'")
+        if not isinstance(d.get("potential"), list):
+            raise MalformedInputError("specialized fixture needs a 'potential' list")
         ctx = specialized_ctx(n, [str_to_frac(v) for v in d["potential"]])
     else:
         raise MalformedInputError(f"unknown ring kind {kind!r}")
 
+    for field in ("modules", "differentials"):
+        if not isinstance(d[field], dict):
+            raise MalformedInputError(f"field {field!r} must be a JSON object")
     modules: Dict[int, List[int]] = {}
     for key, labs in d["modules"].items():
         try:
             deg = int(key)
         except ValueError:
             raise MalformedInputError(f"bad homological degree key {key!r}")
-        if not all(isinstance(s, int) for s in labs):
+        if not isinstance(labs, list) or not all(isinstance(s, int) for s in labs):
             raise MalformedInputError(f"non-integer q-label in degree {key}")
         modules[deg] = list(labs)
     diffs = {}
@@ -131,6 +137,13 @@ def fixture_from_dict(d: dict) -> GradedFreeComplex:
             deg = int(key)
         except ValueError:
             raise MalformedInputError(f"bad differential degree key {key!r}")
+        if not isinstance(mat, list) or not all(
+            isinstance(row, list) and all(isinstance(e, str) for e in row)
+            for row in mat
+        ):
+            raise MalformedInputError(
+                f"differential {key} must be a list of rows of strings"
+            )
         diffs[deg] = [[parse_poly(e, ctx) for e in row] for row in mat]
     return GradedFreeComplex.build(ctx, modules, diffs)
 
@@ -171,6 +184,15 @@ def report_to_dict(rep: GimelReport) -> dict:
         "genus_bound": frac_to_str(rep.genus_bound),
         "genus_bound_ceil": rep.genus_bound_ceil,
     }
+
+
+def _load_report(path: str) -> Tuple[dict, PiecewiseLinear]:
+    """A report file and its gimel profile."""
+    with open(path, "r", encoding="utf-8") as fh:
+        d = json.load(fh)
+    if not isinstance(d, dict) or "gimel" not in d:
+        raise MalformedInputError(f"{path}: not a report with a 'gimel' field")
+    return d, pl_from_dict(d["gimel"])
 
 
 def verdict_to_dict(v: verify.PropertyVerdict) -> dict:
@@ -216,24 +238,30 @@ def _guarded(fn):
     return wrapper
 
 
-def _cache_lookup(cache_dir: Optional[str], key_obj) -> Optional[str]:
+def _cache_path(cache_dir: Optional[str], key_obj: dict) -> Optional[str]:
+    """Where the result for key_obj under this package version is cached,
+    or None without a cache directory."""
     if not cache_dir:
         return None
-    key = hashlib.sha256(_dump(key_obj).encode()).hexdigest()
-    path = os.path.join(cache_dir, key + ".json")
-    if os.path.exists(path):
-        with open(path, "r", encoding="utf-8") as fh:
-            return fh.read()
-    return None
+    key = hashlib.sha256(_dump(dict(key_obj, version=__version__)).encode())
+    return os.path.join(cache_dir, key.hexdigest() + ".json")
 
 
-def _cache_store(cache_dir: Optional[str], key_obj, text: str) -> None:
-    if not cache_dir:
+def _cache_store(path: Optional[str], text: str) -> None:
+    """Write through a temporary file and rename it into place, so a
+    killed run never leaves a truncated entry."""
+    if not path:
         return
+    cache_dir = os.path.dirname(path)
     os.makedirs(cache_dir, exist_ok=True)
-    key = hashlib.sha256(_dump(key_obj).encode()).hexdigest()
-    with open(os.path.join(cache_dir, key + ".json"), "w", encoding="utf-8") as fh:
-        fh.write(text)
+    fd, tmp = tempfile.mkstemp(dir=cache_dir, suffix=".tmp")
+    try:
+        with os.fdopen(fd, "w", encoding="utf-8") as fh:
+            fh.write(text)
+        os.replace(tmp, path)
+    except BaseException:
+        os.unlink(tmp)
+        raise
 
 
 def _emit(text: str, output: Optional[str]) -> None:
@@ -274,41 +302,37 @@ _cache_option = click.option(
 @click.option("--fixture", "fixture_path", type=click.Path(exists=True))
 @click.option("--pd", "pd_text", type=str, default=None)
 @click.option("--n", "n", type=int, default=2, show_default=True)
-@click.option("--potential", default="auto", show_default=True)
 @click.option("-o", "--output", type=click.Path(), default=None)
 @_cache_option
 @_guarded
-def compute(fixture_path, pd_text, n, potential, output, cache_dir):
+def compute(fixture_path, pd_text, n, output, cache_dir):
     """Full invariant report for a fixture or a PD diagram."""
-    if potential != "auto":
-        raise MalformedInputError("only --potential auto is supported")
     if (fixture_path is None) == (pd_text is None):
         raise MalformedInputError("provide exactly one of --fixture and --pd")
 
     if fixture_path is not None:
         with open(fixture_path, "r", encoding="utf-8") as fh:
             raw = fh.read()
-        key = {"cmd": "compute", "fixture": raw, "potential": potential}
-        cached = _cache_lookup(cache_dir, key)
-        if cached is not None:
-            _emit(cached, output)
-            return
-        c = fixture_from_dict(json.loads(raw))
-        name = json.loads(raw).get("name", "")
-        _validated(c, "fixture")
-        rep = pipeline.compute_report(c, name=name)
+        key = {"cmd": "compute", "fixture": raw}
+    elif n != 2:
+        raise MalformedInputError("diagram input supports n = 2 only")
     else:
-        if n != 2:
-            raise MalformedInputError("diagram input supports n = 2 only")
-        key = {"cmd": "compute", "pd": pd_text, "n": n, "potential": potential}
-        cached = _cache_lookup(cache_dir, key)
-        if cached is not None:
-            _emit(cached, output)
-            return
+        key = {"cmd": "compute", "pd": pd_text, "n": n}
+    cache_path = _cache_path(cache_dir, key)
+    if cache_path and os.path.exists(cache_path):
+        with open(cache_path, "r", encoding="utf-8") as fh:
+            _emit(fh.read(), output)
+        return
+
+    if fixture_path is not None:
+        data = json.loads(raw)
+        c = _validated(fixture_from_dict(data), "fixture")
+        rep = pipeline.compute_report(c, name=data.get("name", ""))
+    else:
         rep = pipeline.compute_report_pd(pd_text)
 
     text = _dump(report_to_dict(rep))
-    _cache_store(cache_dir, key, text)
+    _cache_store(cache_path, text)
     _emit(text, output)
 
 
@@ -361,13 +385,10 @@ def dual_cmd(fixture_a, output):
 @_guarded
 def verify_cmd(reports, output):
     """Check the structural inequalities on reports (A, B, A#B)."""
-    loaded = []
-    for path in reports:
-        with open(path, "r", encoding="utf-8") as fh:
-            loaded.append(json.load(fh))
-    gimels = [pl_from_dict(d["gimel"]) for d in loaded]
+    loaded = [_load_report(path) for path in reports]
+    gimels = [g for _, g in loaded]
     verdicts = []
-    for d, g in zip(loaded, gimels):
+    for d, g in loaded:
         for v in (verify.check_cone(g), verify.check_gap(g)):
             entry = verdict_to_dict(v)
             entry["report"] = d.get("name", "")
@@ -385,9 +406,7 @@ def verify_cmd(reports, output):
 @_guarded
 def plot_cmd(report_path, output):
     """CSV of (t, gimel(t)) at breakpoints and a uniform grid."""
-    with open(report_path, "r", encoding="utf-8") as fh:
-        rep = json.load(fh)
-    g = pl_from_dict(rep["gimel"])
+    _, g = _load_report(report_path)
     ts = sorted(set(g.breakpoints) | {Fraction(k, 100) for k in range(101)})
     lines = ["t,value"]
     for t in ts:

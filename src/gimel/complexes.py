@@ -57,18 +57,16 @@ class GradedFreeComplex:
         mdict = dict(mods)
         cleaned = {}
         for i, mat in sorted(diffs.items()):
-            rows = len(mat)
-            cols = len(mat[0]) if rows else 0
             src = len(mdict.get(i, ()))
             tgt = len(mdict.get(i + 1, ()))
             if src == 0 or tgt == 0:
                 if any(not e.is_zero() for row in mat for e in row):
                     raise MalformedInputError(f"differential at degree {i} has no home")
                 continue
-            if (rows, cols) != (tgt, src):
+            if len(mat) != tgt or any(len(row) != src for row in mat):
                 raise MalformedInputError(
-                    f"differential at degree {i}: shape {(rows, cols)}, "
-                    f"expected {(tgt, src)}"
+                    f"differential at degree {i}: row lengths "
+                    f"{[len(row) for row in mat]}, expected {tgt} rows of {src}"
                 )
             if any(e.ctx != ctx for row in mat for e in row):
                 raise ContextMismatchError("matrix entry in a different ring context")

@@ -429,16 +429,6 @@ def gornik_cocycle_sl2(d: Diagram, cube: Optional[CubeData] = None) -> Tuple[Sca
         raise InternalError(
             "no oriented-resolution root labeling is a noncobounding cocycle"
         )
-    from .ring import specialized_ctx, x_power
-
-    ctx = specialized_ctx(2, pot)
-    idx = {(mo.gen, mo.a): p for p, mo in enumerate(s.basis[0])}
-    xpsi = [Fraction(0)] * s.dim(0)
-    for p, c in enumerate(psi):
-        if c:
-            mo = s.basis[0][p]
-            for exps, coeff in x_power(ctx, mo.a + 1).terms:
-                xpsi[idx[(mo.gen, exps[0])]] += c * coeff
-    if xpsi != psi:
+    if linalg.mat_vec(s.x_action(), psi) != psi:
         raise InternalError("oriented-resolution class is not an x-eigenvector")
     return s, tuple(psi)

@@ -1,13 +1,13 @@
-"""The sweep engine: scalar expansion of a specialized complex, exact
-feasibility of filtered representatives, and the piecewise-linear
+"""The sweep engine: scalar expansion of a specialized complex, the exact
+filtration level of the distinguished class, and the piecewise-linear
 invariants built from them.
 
 Core reduction: in the monomial basis {x^a g}, both the quantum filtration
 (span of monomials with degree <= j) and the x-filtration (span of
 monomials with exponent >= k) are coordinate subspaces, and the blended
-filtration level of a monomial at parameter t is t(j + k) - k.  Membership
-of the distinguished class in a filtered subcomplex is then a single exact
-linear solve.
+filtration level of a monomial at parameter t is t(j + k) - k.  The lowest
+level at which the distinguished class has a representative is then one
+ordered reduction of the class against the coboundaries.
 """
 
 from __future__ import annotations
@@ -15,17 +15,18 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Dict, Iterable, List, NamedTuple, Optional, Sequence, Tuple
+from typing import Dict, List, NamedTuple, Optional, Sequence, Tuple
 
 from . import linalg
 from .complexes import GradedFreeComplex
 from .errors import (
     InternalError,
+    InvalidRootError,
     MalformedInputError,
     NondegeneracyError,
 )
 from .pl import PiecewiseLinear
-from .ring import SPECIALIZED, Rational, standard_potential
+from .ring import SPECIALIZED, Rational, specialized_ctx, standard_potential, x_power
 
 Vector = Tuple[Fraction, ...]
 
@@ -60,6 +61,17 @@ class ScalarComplex:
     def has_standard_potential(self) -> bool:
         return self.potential == standard_potential(self.n)
 
+    def x_action(self) -> linalg.Matrix:
+        """Matrix of multiplication by x on the degree-0 chains."""
+        ctx = specialized_ctx(self.n, self.potential)
+        basis = self.basis.get(0, ())
+        index = {(m.gen, m.a): p for p, m in enumerate(basis)}
+        out = linalg.zeros(len(basis), len(basis))
+        for col, m in enumerate(basis):
+            for exps, coeff in x_power(ctx, m.a + 1).terms:
+                out[index[(m.gen, exps[0])]][col] += coeff
+        return out
+
 
 def expand(
     c: GradedFreeComplex, window: Optional[Sequence[int]] = (-1, 0, 1)
@@ -86,8 +98,6 @@ def expand(
     index: Dict[int, Dict[Tuple[int, int], int]] = {
         i: {(m.gen, m.a): p for p, m in enumerate(b)} for i, b in basis.items()
     }
-
-    from .ring import x_power
 
     mats: Dict[int, Tuple[Tuple[Fraction, ...], ...]] = {}
     for i in degrees:
@@ -174,53 +184,52 @@ def gornik_class_fixture(s: ScalarComplex) -> Vector:
     return tuple(v / lead for v in psi)
 
 
-def feasible(s: ScalarComplex, psi: Sequence[Fraction], admissible: Iterable[int]) -> bool:
-    """True iff some cocycle cohomologous to psi is supported on the given
-    degree-0 monomials.  One exact linear solve."""
-    adm = sorted(set(admissible))
-    n0, n1, nm = s.dim(0), s.dim(1), s.dim(-1)
-    d0 = s.matrix(0)
-    dm1 = s.matrix(-1)
-    m, p = len(adm), nm
-
-    rows: linalg.Matrix = []
-    rhs: List[Fraction] = []
-    for r in range(n1):
-        rows.append([d0[r][c] for c in adm] + [Fraction(0)] * p)
-        rhs.append(Fraction(0))
-    for r in range(n0):
-        row = [Fraction(c == r) for c in adm]
-        row += [-dm1[r][y] for y in range(p)]
-        rows.append(row)
-        rhs.append(Fraction(psi[r]))
-    return linalg.solve(rows, rhs) is not None
-
-
 def _minimal_feasible_value(
     s: ScalarComplex,
     psi: Sequence[Fraction],
     scored: Sequence[Tuple[Fraction, int]],
 ) -> Fraction:
-    """Minimal v such that the monomials of score <= v admit a
-    representative; binary search over distinct scores (valid because
-    feasibility is monotone in the admissible set)."""
-    values = sorted({v for v, _ in scored})
-    if not values:
+    """Minimal v such that some cocycle cohomologous to psi is supported on
+    the monomials of score <= v.
+
+    Every such cocycle is psi + d^{-1} y, so this is the persistence
+    reduction: order the degree-0 coordinates by (score, index), with
+    unscored ones above all scored ones, reduce the d^{-1} columns to
+    distinct top coordinates, then reduce psi against them.  The score of
+    psi's remaining top coordinate is the answer."""
+    if not scored:
         raise InternalError("no admissible monomials at all")
+    score = {i: v for v, i in scored}
+    order = sorted(score, key=lambda i: (score[i], i))
+    order += [i for i in range(s.dim(0)) if i not in score]
+    pos = {i: p for p, i in enumerate(order)}
+    reduced: Dict[int, Dict[int, Fraction]] = {}  # top position -> column
 
-    def ok(v: Fraction) -> bool:
-        return feasible(s, psi, [i for sc, i in scored if sc <= v])
+    def reduce(v: Dict[int, Fraction]) -> Optional[int]:
+        """Reduce v in place against the stored columns; a nonzero
+        remainder is stored under its top position, which is returned."""
+        while v:
+            top = max(v)
+            col = reduced.get(top)
+            if col is None:
+                reduced[top] = v
+                return top
+            f = v[top] / col[top]
+            for p, c in col.items():
+                v[p] = v.get(p, 0) - f * c
+                if not v[p]:
+                    del v[p]
+        return None
 
-    if not ok(values[-1]):
+    dm1 = s.mats.get(-1, ())
+    for y in range(s.dim(-1)):
+        reduce({pos[r]: row[y] for r, row in enumerate(dm1) if row[y]})
+    top = reduce({pos[r]: Fraction(c) for r, c in enumerate(psi) if c})
+    if top is None:
+        return min(score.values())
+    if order[top] not in score:
         raise InternalError("distinguished class infeasible even with full support")
-    lo, hi = 0, len(values) - 1
-    while lo < hi:
-        mid = (lo + hi) // 2
-        if ok(values[mid]):
-            hi = mid
-        else:
-            lo = mid + 1
-    return values[lo]
+    return score[order[top]]
 
 
 def _require_standard(s: ScalarComplex) -> None:
@@ -353,12 +362,22 @@ def _mat_pow_apply(a: linalg.Matrix, coeffs: Sequence[Fraction]) -> linalg.Matri
     return out
 
 
+def _check_simple_root(potential: Tuple[Fraction, ...], alpha: Fraction) -> None:
+    n = len(potential)
+    value = alpha**n + sum(potential[i] * alpha**i for i in range(n))
+    deriv = n * alpha ** (n - 1) + sum(
+        i * potential[i] * alpha ** (i - 1) for i in range(1, n)
+    )
+    if value != 0:
+        raise InvalidRootError(f"{alpha} is not a root of the potential")
+    if deriv == 0:
+        raise InvalidRootError(f"{alpha} is a multiple root of the potential")
+
+
 def s_general(s: ScalarComplex, alpha: Rational) -> Fraction:
     """Concordance bound from a general monic potential with a simple
     rational root alpha: the renormalized quantum filtration grading of the
     class generating the alpha-eigenspace of degree-0 cohomology."""
-    from .simplify import _check_simple_root
-
     alpha = Fraction(alpha)
     n = s.n
     _check_simple_root(s.potential, alpha)
@@ -386,16 +405,7 @@ def s_general(s: ScalarComplex, alpha: Rational) -> Fraction:
     if h == 0:
         raise NondegeneracyError("degree-0 cohomology vanishes")
 
-    # x-action on degree-0 chains
-    from .ring import specialized_ctx, x_power
-
-    ctx = specialized_ctx(n, s.potential)
-    index = {(m.gen, m.a): p for p, m in enumerate(s.basis[0])}
-    xmat = linalg.zeros(n0, n0)
-    for col, m in enumerate(s.basis[0]):
-        prod = x_power(ctx, m.a + 1)
-        for exps, coeff in prod.terms:
-            xmat[index[(m.gen, exps[0])]][col] += coeff
+    xmat = s.x_action()
 
     # induced action on H^0: express x . rep in the basis (reps mod coboundaries)
     solve_cols = [list(col) for col in zip(*(reps + bcols))] if (reps or bcols) else []

@@ -109,15 +109,3 @@ def nullspace(a: Matrix) -> List[Vector]:
 
 def in_column_span(a: Matrix, b: Sequence[Fraction]) -> bool:
     return solve(a, b) is not None
-
-
-def hstack(a: Matrix, b: Matrix) -> Matrix:
-    if not a:
-        return [row[:] for row in b]
-    if not b:
-        return [row[:] for row in a]
-    return [ra + rb for ra, rb in zip(a, b)]
-
-
-def columns(a: Matrix, idx: Sequence[int]) -> Matrix:
-    return [[row[j] for j in idx] for row in a]

@@ -14,7 +14,8 @@ from fractions import Fraction
 from typing import Dict, Iterable, List, Optional, Tuple
 
 from .complexes import GradedFreeComplex, euler, evaluate
-from .errors import DecompositionError, InvalidRootError
+from .errors import DecompositionError
+from .filtration import Monomial, ScalarComplex, _check_simple_root
 from .ring import EQUIVARIANT, Poly, Rational, zero
 
 
@@ -186,18 +187,6 @@ def extract_sn(dec: Decomposition) -> GradedFreeComplex:
     return odd[0]
 
 
-def _check_simple_root(potential: Tuple[Fraction, ...], alpha: Fraction) -> None:
-    n = len(potential)
-    value = alpha**n + sum(potential[i] * alpha**i for i in range(n))
-    deriv = n * alpha ** (n - 1) + sum(
-        i * potential[i] * alpha ** (i - 1) for i in range(1, n)
-    )
-    if value != 0:
-        raise InvalidRootError(f"{alpha} is not a root of the potential")
-    if deriv == 0:
-        raise InvalidRootError(f"{alpha} is a multiple root of the potential")
-
-
 def reduced_complex(
     s: GradedFreeComplex,
     potential: Iterable[Rational],
@@ -214,8 +203,6 @@ def reduced_complex(
     Returns a ScalarComplex (the image is a complex of Q-vector spaces, not
     of free modules over the ring context).
     """
-    from .filtration import Monomial, ScalarComplex
-
     pot = tuple(Fraction(v) for v in potential)
     alpha = Fraction(alpha)
     _check_simple_root(pot, alpha)

@@ -20,7 +20,7 @@ PD_CORPUS = [UNKNOT_PD, KINK_NEG_PD, KINK_POS_PD, TREFOIL_PD, FIG8_PD]
 
 
 def class_membership_oracle(s: ScalarComplex, psi, admissible) -> bool:
-    """Rank-based membership test, independent of filtration.feasible:
+    """Rank-based membership test, independent of the filtration module:
     [psi] lies in the image of H^0(prefix) iff appending psi to the span of
     (cocycles supported on the prefix) + (coboundaries) does not raise the
     rank."""
@@ -61,6 +61,17 @@ def u_oracle(s: ScalarComplex, psi) -> Fraction:
     """Quantum filtration grading of [psi]: exhaustive scan over quantum
     levels."""
     return gamma_oracle(s, psi, Fraction(1))
+
+
+def r_oracle(s: ScalarComplex, psi) -> Fraction:
+    """Lowest quantum degree j at which [psi] has a representative on the
+    x-top monomials of degree <= j: linear scan with the rank-based
+    membership test."""
+    top = [(m.j, i) for i, m in enumerate(s.basis[0]) if m.k == s.n - 1]
+    for v in sorted({j for j, _ in top}):
+        if class_membership_oracle(s, psi, [i for j, i in top if j <= v]):
+            return Fraction(v)
+    raise AssertionError("class not carried by the x-top monomials")
 
 
 def isomorphic_up_to_scaling(c1: GradedFreeComplex, c2: GradedFreeComplex) -> bool:

@@ -16,9 +16,11 @@ from gimel.cli import (
     save_fixture,
     str_to_frac,
 )
+from gimel.complexes import evaluate
 from gimel.errors import MalformedInputError
 from gimel.fixtures import pretzel_2m37_fixture, s3_p754_fixture, unknot_fixture
 from gimel.pl import PiecewiseLinear
+from gimel.ring import standard_potential
 
 
 @pytest.fixture
@@ -30,6 +32,11 @@ def _write_fixture(tmp_path, c, name):
     path = tmp_path / f"{name}.json"
     save_fixture(c, str(path), name=name)
     return str(path)
+
+
+def _assert_malformed(res):
+    assert res.exit_code == 1, res.output
+    assert json.loads(res.stderr)["error"] == "MalformedInputError"
 
 
 def test_frac_round_trip():
@@ -63,6 +70,20 @@ def test_fixture_schema_errors():
         )
     d = fixture_to_dict(unknot_fixture(3))
     d["modules"]["zero"] = [0]
+    with pytest.raises(MalformedInputError):
+        fixture_from_dict(d)
+    d = fixture_to_dict(pretzel_2m37_fixture(3))
+    for field, key, bad in (
+        ("modules", "0", 0),
+        ("differentials", "-1", 5),
+        ("differentials", "-1", [[5]]),
+    ):
+        broken = json.loads(json.dumps(d))
+        broken[field][key] = bad
+        with pytest.raises(MalformedInputError):
+            fixture_from_dict(broken)
+    d = fixture_to_dict(evaluate(unknot_fixture(2), standard_potential(2)))
+    d["potential"] = 5
     with pytest.raises(MalformedInputError):
         fixture_from_dict(d)
 
@@ -110,6 +131,45 @@ def test_compute_input_errors(runner, tmp_path):
     assert res.exit_code == 1
 
 
+def test_compute_short_differential_row(runner, tmp_path):
+    d = {
+        "name": "short",
+        "n": 2,
+        "kind": "equivariant",
+        "modules": {"0": [0, 0], "1": [0, 0]},
+        "differentials": {"0": [["1", "0"], ["1"]]},
+    }
+    path = tmp_path / "short.json"
+    path.write_text(json.dumps(d))
+    _assert_malformed(runner.invoke(main, ["compute", "--fixture", str(path)]))
+
+
+def test_compute_fixture_fields_not_objects(runner, tmp_path):
+    for field in ("modules", "differentials"):
+        d = fixture_to_dict(unknot_fixture(2))
+        d[field] = [d[field]]
+        path = tmp_path / f"{field}.json"
+        path.write_text(json.dumps(d))
+        _assert_malformed(runner.invoke(main, ["compute", "--fixture", str(path)]))
+
+
+def test_verify_malformed_report(runner, tmp_path):
+    a = _write_fixture(tmp_path, s3_p754_fixture(), "a")
+    rep = json.loads(runner.invoke(main, ["compute", "--fixture", a]).output)
+    good = tmp_path / "good.json"
+    good.write_text(json.dumps(rep))
+    missing = tmp_path / "missing.json"
+    missing.write_text(json.dumps({k: v for k, v in rep.items() if k != "gimel"}))
+    short = tmp_path / "short.json"
+    bad_gimel = {"breakpoints": ["0", "1"], "values": ["0"]}
+    short.write_text(json.dumps(dict(rep, gimel=bad_gimel)))
+    for bad in (missing, short):
+        res = runner.invoke(
+            main, ["verify", "--reports", str(bad), str(good), str(good)]
+        )
+        _assert_malformed(res)
+
+
 def test_compute_validation_failure_exit_code(runner, tmp_path):
     # d^2 != 0 fixture trips structural validation: exit code 2
     d = {
@@ -135,15 +195,23 @@ def test_compute_degenerate_class_exit_code(runner, tmp_path):
     assert res.exit_code == 3
 
 
-def test_cache_round_trip(runner, tmp_path):
+def test_cache_round_trip(runner, tmp_path, monkeypatch):
     path = _write_fixture(tmp_path, s3_p754_fixture(), "a")
     cache = tmp_path / "cache"
     env = {"GIMEL_CACHE_DIR": str(cache)}
     r1 = runner.invoke(main, ["compute", "--fixture", path], env=env)
     assert r1.exit_code == 0
-    assert any(cache.iterdir())
+    (entry,) = cache.iterdir()
+    assert entry.suffix == ".json" and entry.read_text() == r1.output
+    # a second run is served from the entry, not recomputed
+    entry.write_text("served from cache\n")
     r2 = runner.invoke(main, ["compute", "--fixture", path], env=env)
-    assert r2.output == r1.output
+    assert r2.exit_code == 0 and r2.output == "served from cache\n"
+    # an entry written under another package version is not served
+    monkeypatch.setattr("gimel.cli.__version__", "0.0.0-other")
+    r3 = runner.invoke(main, ["compute", "--fixture", path], env=env)
+    assert r3.exit_code == 0 and r3.output == r1.output
+    assert sorted(p.suffix for p in cache.iterdir()) == [".json", ".json"]
 
 
 def test_tensor_and_dual_commands(runner, tmp_path):

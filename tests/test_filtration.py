@@ -1,16 +1,17 @@
+import itertools
 from fractions import Fraction as F
 
 import pytest
-from conftest import class_membership_oracle, gamma_oracle
+from conftest import FIG8_PD, TREFOIL_PD, gamma_oracle, r_oracle
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from gimel.complexes import evaluate, tensor
-from gimel.errors import MalformedInputError, NondegeneracyError
+from gimel.cube import gornik_cocycle_sl2, mirror, parse_pd
+from gimel.errors import InternalError, MalformedInputError, NondegeneracyError
 from gimel.filtration import (
     cohomology_dimension,
     expand,
-    feasible,
     gamma_at,
     gamma_sweep,
     gimel_from_gamma,
@@ -37,6 +38,33 @@ def _tensor_example():
     ab = tensor(s3_p754_fixture(), s3_p976_fixture())
     s = _scalar(ab)
     return s, gornik_class_fixture(s)
+
+
+def _with_class(c):
+    s = _scalar(c)
+    return s, gornik_class_fixture(s)
+
+
+# Scalar complexes with their classes: a fixture tensor, a fixture of the
+# family, and full n = 2 cubes, whose d^-1 has many columns.
+_ORACLE_CASES = [
+    _tensor_example(),
+    _with_class(pretzel_2m37_fixture(4)),
+    gornik_cocycle_sl2(mirror(parse_pd(TREFOIL_PD))),
+    gornik_cocycle_sl2(parse_pd(FIG8_PD)),
+]
+
+
+def _breakpoints_and_midpoints(s):
+    tags = sorted({(m.j, m.k) for m in s.basis[0]})
+    ts = {F(0), F(1)}
+    for (j1, k1), (j2, k2) in itertools.combinations(tags, 2):
+        if j1 + k1 != j2 + k2:
+            t = F(k1 - k2, (j1 + k1) - (j2 + k2))
+            if 0 < t < 1:
+                ts.add(t)
+    ts = sorted(ts)
+    return ts + [(a + b) / 2 for a, b in zip(ts, ts[1:])]
 
 
 def test_expand_tags_family_n5():
@@ -92,17 +120,11 @@ def test_gornik_class_unknot():
         assert [v for v in psi if v] == [1]
 
 
-def test_feasible_tensor_examples():
-    s, psi = _tensor_example()
-    basis = s.basis[0]
-    low = [i for i, m in enumerate(basis) if m.a <= 1]
-    consts = [i for i, m in enumerate(basis) if m.a == 0]
-    assert feasible(s, psi, low)
-    assert not feasible(s, psi, consts)
-    assert feasible(s, psi, range(s.dim(0)))
-    # agree with the independent rank-based membership oracle
-    for adm in (low, consts, list(range(s.dim(0)))):
-        assert feasible(s, psi, adm) == class_membership_oracle(s, psi, adm)
+def test_gamma_at_matches_oracle_at_candidates():
+    for s, psi in _ORACLE_CASES:
+        assert s.dim(-1) or s.dim(1)
+        for t in _breakpoints_and_midpoints(s):
+            assert gamma_at(s, psi, t) == gamma_oracle(s, psi, t), t
 
 
 def test_gamma_at_unknot():
@@ -158,14 +180,13 @@ def test_gamma_sweep_matches_pointwise():
 
 
 @settings(max_examples=25, deadline=None)
-@given(st.integers(0, 11), st.integers(0, 11))
-def test_feasible_monotone_in_support(i, j):
-    s, psi = _tensor_example()
-    lo, hi = sorted((i, j))
-    small = list(range(lo + 1))
-    large = list(range(hi + 1))
-    if feasible(s, psi, small):
-        assert feasible(s, psi, large)
+@given(
+    st.integers(0, len(_ORACLE_CASES) - 1),
+    st.fractions(min_value=0, max_value=1, max_denominator=60),
+)
+def test_gamma_at_matches_oracle_at_random_t(case, t):
+    s, psi = _ORACLE_CASES[case]
+    assert gamma_at(s, psi, t) == gamma_oracle(s, psi, t)
 
 
 def test_gimel_from_gamma_normalization():
@@ -183,6 +204,27 @@ def test_invariants_report_identities():
     # slope identity at 0: slope0 == (r - (n-1)) / (2(n-1))
     assert rep.r == 2
     assert rep.genus_bound == F(1, 2) and rep.genus_bound_ceil == 1
+
+
+def test_invariants_report_r_matches_oracle():
+    cases = _ORACLE_CASES + [
+        gornik_cocycle_sl2(parse_pd(TREFOIL_PD)),
+        _with_class(unknot_fixture(3)),
+    ]
+    for s, psi in cases:
+        g = gamma_sweep(s, psi)
+        rep = invariants_report(s, psi, g, gimel_from_gamma(g, s.n))
+        assert rep.r == r_oracle(s, psi)
+
+
+def test_invariants_report_rejects_class_off_x_top():
+    # unknot n = 2: the class of g has no representative on x g alone
+    s = _scalar(unknot_fixture(2))
+    psi = (F(1), F(0))
+    assert s.basis[0][0].a == 0
+    g = gamma_sweep(s, psi)
+    with pytest.raises(InternalError):
+        invariants_report(s, psi, g, gimel_from_gamma(g, 2))
 
 
 def test_rejects_nonstandard_potential():
