@@ -11,16 +11,14 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Dict, Iterable, List, Optional, Sequence, Tuple
+from typing import Dict, Iterable, List, Sequence, Tuple
 
 from .errors import ContextMismatchError, MalformedInputError
 from .ring import (
     EQUIVARIANT,
-    SPECIALIZED,
     Poly,
     Rational,
     RingCtx,
-    equivariant_ctx,
     evaluate_poly,
     quantum_degree,
     specialized_ctx,
@@ -207,6 +205,8 @@ def tensor(c1: GradedFreeComplex, c2: GradedFreeComplex) -> GradedFreeComplex:
         for deg, bucket in gens.items()
     }
 
+    d1 = {i: c1.diff(i) for i in c1.degrees()}
+    d2 = {i: c2.diff(i) for i in c2.degrees()}
     z = zero(ctx)
     diffs: Dict[int, List[List[Poly]]] = {}
     for deg, bucket in sorted(gens.items()):
@@ -215,16 +215,14 @@ def tensor(c1: GradedFreeComplex, c2: GradedFreeComplex) -> GradedFreeComplex:
         tgt = gens[deg + 1]
         mat = [[z] * len(bucket) for _ in range(len(tgt))]
         for col, (i1, a, i2, b) in enumerate(bucket):
-            d1 = c1.diff(i1)
-            for ta in range(c1.rank(i1 + 1)):
-                e = d1[ta][a]
+            for ta, row1 in enumerate(d1[i1]):
+                e = row1[a]
                 if not e.is_zero():
                     row = index[deg + 1][(i1 + 1, ta, i2, b)]
                     mat[row][col] = mat[row][col] + e
-            d2 = c2.diff(i2)
             sign = -1 if i1 % 2 else 1
-            for tb in range(c2.rank(i2 + 1)):
-                e = d2[tb][b]
+            for tb, row2 in enumerate(d2[i2]):
+                e = row2[b]
                 if not e.is_zero():
                     row = index[deg + 1][(i1, a, i2 + 1, tb)]
                     mat[row][col] = mat[row][col] + sign * e

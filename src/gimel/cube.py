@@ -19,10 +19,15 @@ from typing import Dict, FrozenSet, List, Optional, Sequence, Tuple
 from . import linalg
 from .complexes import GradedFreeComplex, evaluate
 from .errors import InternalError, MalformedInputError
-from .filtration import Monomial, ScalarComplex, expand
+from .filtration import ScalarComplex, expand
 from .ring import Poly, constant, equivariant_ctx, standard_potential, zero
 
 Crossing = Tuple[int, int, int, int]
+
+# The cube has 2^m vertices and dense differentials: T(2,9) already needs
+# 9,843 generators, about 17 million matrix slots and 300 MB, and the slot
+# count grows about 74-fold from 7 to 9 crossings.
+MAX_CUBE_CROSSINGS = 9
 
 
 @dataclass(frozen=True)
@@ -263,6 +268,11 @@ def build_cube(d: Diagram) -> CubeData:
     """
     ctx = equivariant_ctx(2)
     m = len(d.crossings)
+    if m > MAX_CUBE_CROSSINGS:
+        raise MalformedInputError(
+            f"diagram has {m} crossings; the cube of resolutions is limited "
+            f"to {MAX_CUBE_CROSSINGS}"
+        )
     n_plus, n_minus = d.n_plus, d.n_minus
 
     states: Dict[Tuple[int, ...], ResolutionState] = {}

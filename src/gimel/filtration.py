@@ -27,6 +27,7 @@ from .errors import (
 )
 from .pl import PiecewiseLinear
 from .ring import SPECIALIZED, Rational, specialized_ctx, standard_potential, x_power
+from .verify import genus_bound
 
 Vector = Tuple[Fraction, ...]
 
@@ -324,10 +325,7 @@ def invariants_report(
     slope0 = gimel.slope_at_zero()
     value1 = gimel.value_at_one()
     s_inv = Fraction(u - n + 1, 2 * (n - 1))
-    bound = max(
-        (abs(gimel(t) / t) for t in gimel.breakpoints if t > 0),
-        default=Fraction(0),
-    )
+    bound = genus_bound(gimel)
     if gamma(0) != -(n - 1) or gimel(0) != 0:
         raise InternalError("gamma(0) or gimel(0) off their forced values")
     if value1 != s_inv:

@@ -7,7 +7,6 @@ from __future__ import annotations
 
 from .complexes import GradedFreeComplex, rank_one_complex
 from .ring import (
-    Poly,
     RingCtx,
     equivariant_ctx,
     parse_poly,

@@ -15,6 +15,7 @@ All coefficients are ``fractions.Fraction``; no floating point anywhere.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterable, Mapping, Optional, Tuple, Union
@@ -30,13 +31,6 @@ Rational = Union[int, Fraction]
 
 EQUIVARIANT = "equivariant"
 SPECIALIZED = "specialized"
-
-# Raw polynomials (parser output, fixture entries before normalization) are
-# dicts mapping a sorted tuple of (variable name, exponent) pairs to nonzero
-# Fraction coefficients.  Variables are "x" and "a0" ... "a{n-1}".
-RawTerm = Tuple[Tuple[str, int], ...]
-RawPoly = dict  # dict[RawTerm, Fraction]
-
 
 @dataclass(frozen=True)
 class RingCtx:
@@ -111,27 +105,42 @@ class Poly:
         items = tuple(sorted((e, c) for e, c in d.items() if c != 0))
         return Poly(ctx, items)
 
-    def as_dict(self) -> dict:
-        return dict(self.terms)
-
     def is_zero(self) -> bool:
         return not self.terms
 
+    def _check(self, other) -> None:
+        if not isinstance(other, Poly) or other.ctx != self.ctx:
+            raise ContextMismatchError("operand context differs from target context")
+
     def __add__(self, other: "Poly") -> "Poly":
-        return ring_op("add", self, other, self.ctx)
+        self._check(other)
+        d = dict(self.terms)
+        for e, c in other.terms:
+            d[e] = d.get(e, Fraction(0)) + c
+        return Poly.from_dict(self.ctx, d)
 
     def __sub__(self, other: "Poly") -> "Poly":
-        return self + ring_op("scalar-mul", other, Fraction(-1), other.ctx)
+        return self + -other
 
     def __mul__(self, other) -> "Poly":
-        if isinstance(other, Poly):
-            return ring_op("mul", self, other, self.ctx)
-        return ring_op("scalar-mul", self, Fraction(other), self.ctx)
+        """Product with a Poly of the same context, or with a scalar."""
+        if not isinstance(other, Poly):
+            c = Fraction(other)
+            return Poly.from_dict(self.ctx, {e: v * c for e, v in self.terms})
+        self._check(other)
+        d: dict = {}
+        for e1, c1 in self.terms:
+            for e2, c2 in other.terms:
+                e = tuple(a + b for a, b in zip(e1, e2))
+                d[e] = d.get(e, Fraction(0)) + c1 * c2
+        if self.ctx.kind == SPECIALIZED:
+            return _reduce_mod_potential({e[0]: c for e, c in d.items()}, self.ctx)
+        return Poly.from_dict(self.ctx, d)
 
     __rmul__ = __mul__
 
     def __neg__(self) -> "Poly":
-        return ring_op("scalar-mul", self, Fraction(-1), self.ctx)
+        return self * -1
 
     def __str__(self) -> str:
         return format_poly(self)
@@ -148,118 +157,43 @@ def constant(ctx: RingCtx, c: Rational) -> Poly:
     return Poly.from_dict(ctx, {(0,) * ctx.nvars: c})
 
 
-def monomial(ctx: RingCtx, exps: Tuple[int, ...], c: Rational = 1) -> Poly:
-    """Build a monomial from an exponent vector, reducing to normal form."""
-    raw = {tuple(sorted(zip(ctx.var_names(), exps))): Fraction(c)}
-    return normalize(raw, ctx)
+def _exps(ctx: RingCtx, k: int, i: int = 0) -> Tuple[int, ...]:
+    """Equivariant exponent vector of x^k * a_i, or of x^k alone for i = 0."""
+    e = [k] + [0] * (ctx.nvars - 1)
+    if i:
+        e[i] = 1
+    return tuple(e)
 
 
 def x_power(ctx: RingCtx, a: int, c: Rational = 1) -> Poly:
-    exps = [0] * ctx.nvars
-    exps[0] = a
-    return monomial(ctx, tuple(exps), c)
+    if ctx.kind == SPECIALIZED:
+        return _reduce_mod_potential({a: Fraction(c)}, ctx)
+    return Poly.from_dict(ctx, {_exps(ctx, a): Fraction(c)})
 
 
-# ---------------------------------------------------------------------------
-# raw-polynomial helpers (shared by parser and normalize)
+def _variable(name: str, ctx: RingCtx) -> Poly:
+    """Normal form of the variable x or a_i in ctx.
 
-
-def _raw_add(p: RawPoly, q: RawPoly) -> RawPoly:
-    out = dict(p)
-    for k, c in q.items():
-        nc = out.get(k, Fraction(0)) + c
-        if nc == 0:
-            out.pop(k, None)
-        else:
-            out[k] = nc
-    return out
-
-
-def _raw_mul(p: RawPoly, q: RawPoly) -> RawPoly:
-    out: RawPoly = {}
-    for k1, c1 in p.items():
-        e1 = dict(k1)
-        for k2, c2 in q.items():
-            e = dict(e1)
-            for v, n in k2:
-                e[v] = e.get(v, 0) + n
-            key = tuple(sorted((v, n) for v, n in e.items() if n != 0))
-            nc = out.get(key, Fraction(0)) + c1 * c2
-            if nc == 0:
-                out.pop(key, None)
-            else:
-                out[key] = nc
-    return out
-
-
-def _raw_scale(p: RawPoly, c: Fraction) -> RawPoly:
-    if c == 0:
-        return {}
-    return {k: v * c for k, v in p.items()}
-
-
-def raw_const(c: Rational) -> RawPoly:
-    c = Fraction(c)
-    return {(): c} if c != 0 else {}
-
-
-def raw_var(name: str) -> RawPoly:
-    return {((name, 1),): Fraction(1)}
-
-
-# ---------------------------------------------------------------------------
-# normalization
-
-
-def normalize(raw: RawPoly, ctx: RingCtx) -> Poly:
-    """Bring a raw polynomial (possibly containing a0) into normal form.
-
-    Equivariant contexts eliminate a0 via the defining relation; specialized
-    contexts substitute every a_i by the potential coefficient c_i and reduce
-    mod dw to degree < n.  Raises MalformedInputError on a variable index
-    >= n or an unknown variable.
+    Over the equivariant ring a0 is eliminated through its defining
+    relation; over the specialized ring every a_i is the potential
+    coefficient c_i.  Raises MalformedInputError on an unknown variable or
+    an index >= n.
     """
-    n = ctx.n
-    for key in raw:
-        for v, _ in key:
-            if v == "x":
-                continue
-            if not (v.startswith("a") and v[1:].isdigit()):
-                raise MalformedInputError(f"unknown variable {v!r}")
-            if int(v[1:]) >= n:
-                raise MalformedInputError(f"variable {v!r} out of range for n={n}")
-
-    if ctx.kind == EQUIVARIANT:
-        # a0 = -(x^n + a_{n-1} x^{n-1} + ... + a1 x)
-        a0_sub: RawPoly = {(("x", n),): Fraction(-1)}
-        for i in range(1, n):
-            a0_sub[tuple(sorted(((f"a{i}", 1), ("x", i))))] = Fraction(-1)
-        out: RawPoly = {}
-        for key, coeff in raw.items():
-            e = dict(key)
-            a0_exp = e.pop("a0", 0)
-            base = {tuple(sorted(e.items())): coeff}
-            for _ in range(a0_exp):
-                base = _raw_mul(base, a0_sub)
-            out = _raw_add(out, base)
-        d: dict = {}
-        for key, coeff in out.items():
-            e = dict(key)
-            vec = tuple(e.get(v, 0) for v in ctx.var_names())
-            d[vec] = d.get(vec, Fraction(0)) + coeff
-        return Poly.from_dict(ctx, d)
-
-    # specialized: a_i -> c_i, then reduce mod dw
-    coeffs: dict = {}
-    for key, coeff in raw.items():
-        e = dict(key)
-        c = coeff
-        for v, exp in e.items():
-            if v != "x":
-                c *= ctx.potential[int(v[1:])] ** exp
-        xe = e.get("x", 0)
-        coeffs[xe] = coeffs.get(xe, Fraction(0)) + c
-    return _reduce_mod_potential(coeffs, ctx)
+    if name == "x":
+        return x_power(ctx, 1)
+    if not (name.startswith("a") and name[1:].isdigit()):
+        raise MalformedInputError(f"unknown variable {name!r}")
+    i = int(name[1:])
+    if i >= ctx.n:
+        raise MalformedInputError(f"variable {name!r} out of range for n={ctx.n}")
+    if ctx.kind == SPECIALIZED:
+        return constant(ctx, ctx.potential[i])
+    if i:
+        return Poly.from_dict(ctx, {_exps(ctx, 0, i): Fraction(1)})
+    # a0 = -(x^n + a_{n-1} x^{n-1} + ... + a1 x)
+    d = {_exps(ctx, j, j): Fraction(-1) for j in range(1, ctx.n)}
+    d[_exps(ctx, ctx.n)] = Fraction(-1)
+    return Poly.from_dict(ctx, d)
 
 
 def _reduce_mod_potential(coeffs: dict, ctx: RingCtx) -> Poly:
@@ -279,40 +213,6 @@ def _reduce_mod_potential(coeffs: dict, ctx: RingCtx) -> Poly:
                 e = m - n + i
                 coeffs[e] = coeffs.get(e, Fraction(0)) - c * pot[i]
     return Poly.from_dict(ctx, {(e,): c for e, c in coeffs.items() if c != 0})
-
-
-# ---------------------------------------------------------------------------
-# ring operations
-
-
-def ring_op(kind: str, p: Poly, q, ctx: RingCtx) -> Poly:
-    """add / mul / scalar-mul in normal form.  Contexts must agree."""
-    if p.ctx != ctx:
-        raise ContextMismatchError("operand context differs from target context")
-    if kind == "scalar-mul":
-        c = Fraction(q)
-        return Poly.from_dict(ctx, {e: v * c for e, v in p.terms})
-    if not isinstance(q, Poly) or q.ctx != ctx:
-        raise ContextMismatchError("operand context differs from target context")
-    if kind == "add":
-        d = dict(p.terms)
-        for e, c in q.terms:
-            nc = d.get(e, Fraction(0)) + c
-            if nc == 0:
-                d.pop(e, None)
-            else:
-                d[e] = nc
-        return Poly.from_dict(ctx, d)
-    if kind == "mul":
-        d: dict = {}
-        for e1, c1 in p.terms:
-            for e2, c2 in q.terms:
-                e = tuple(a + b for a, b in zip(e1, e2))
-                d[e] = d.get(e, Fraction(0)) + c1 * c2
-        if ctx.kind == SPECIALIZED:
-            return _reduce_mod_potential({e[0]: c for e, c in d.items()}, ctx)
-        return Poly.from_dict(ctx, d)
-    raise MalformedInputError(f"unknown ring operation {kind!r}")
 
 
 def term_degree(ctx: RingCtx, exps: Tuple[int, ...]) -> int:
@@ -367,24 +267,13 @@ def potential_derivative(ctx: RingCtx, order: int = 1) -> Poly:
     if order < 1:
         raise MalformedInputError("order must be >= 1")
     n = ctx.n
-    raw: RawPoly = {}
-
-    def falling(k: int, r: int) -> int:
-        v = 1
-        for j in range(r):
-            v *= k - j
-        return v
-
-    if n - order >= 0:
-        key = (("x", n - order),) if n - order > 0 else ()
-        raw[key] = Fraction(falling(n, order))
-    for i in range(1, n):
-        if i - order >= 0:
-            e = [(f"a{i}", 1)]
-            if i - order > 0:
-                e.append(("x", i - order))
-            raw[tuple(sorted(e))] = Fraction(falling(i, order))
-    return normalize(raw, ctx)
+    d = {
+        _exps(ctx, i - order, i): Fraction(math.perm(i, order))
+        for i in range(order, n)
+    }
+    if n >= order:
+        d[_exps(ctx, n - order)] = Fraction(math.perm(n, order))
+    return Poly.from_dict(ctx, d)
 
 
 # ---------------------------------------------------------------------------
@@ -392,8 +281,8 @@ def potential_derivative(ctx: RingCtx, order: int = 1) -> Poly:
 # operators + - * ^, parentheses; juxtaposition is not allowed.
 
 
-def parse_raw(text: str) -> RawPoly:
-    """Parse polynomial text into a raw polynomial (context-independent)."""
+def parse_poly(text: str, ctx: RingCtx) -> Poly:
+    """Parse polynomial text, evaluating it directly in ctx's normal form."""
     tokens = _tokenize(text)
     pos = [0]
 
@@ -403,29 +292,25 @@ def parse_raw(text: str) -> RawPoly:
     def advance():
         pos[0] += 1
 
-    def expr() -> RawPoly:
+    def expr() -> Poly:
         t = peek()
         if t in ("+", "-"):
             advance()
-            first = _raw_scale(term(), Fraction(-1 if t == "-" else 1))
-        else:
-            first = term()
-        out = first
+        out = -term() if t == "-" else term()
         while peek() in ("+", "-"):
             op = peek()
             advance()
-            nxt = term()
-            out = _raw_add(out, _raw_scale(nxt, Fraction(-1 if op == "-" else 1)))
+            out = out - term() if op == "-" else out + term()
         return out
 
-    def term() -> RawPoly:
+    def term() -> Poly:
         out = factor()
         while peek() == "*":
             advance()
-            out = _raw_mul(out, factor())
+            out = out * factor()
         return out
 
-    def factor() -> RawPoly:
+    def factor() -> Poly:
         base = atom()
         if peek() == "^":
             advance()
@@ -433,13 +318,13 @@ def parse_raw(text: str) -> RawPoly:
             if not isinstance(t, Fraction) or t.denominator != 1 or t < 0:
                 raise MalformedInputError("exponent must be a non-negative integer")
             advance()
-            out = raw_const(1)
+            out = constant(ctx, 1)
             for _ in range(int(t)):
-                out = _raw_mul(out, base)
+                out = out * base
             return out
         return base
 
-    def atom() -> RawPoly:
+    def atom() -> Poly:
         t = peek()
         if t == "(":
             advance()
@@ -450,10 +335,10 @@ def parse_raw(text: str) -> RawPoly:
             return inner
         if isinstance(t, Fraction):
             advance()
-            return raw_const(t)
+            return constant(ctx, t)
         if isinstance(t, str) and (t == "x" or t.startswith("a")):
             advance()
-            return raw_var(t)
+            return _variable(t, ctx)
         raise MalformedInputError(f"unexpected token {t!r} in polynomial")
 
     result = expr()
@@ -483,7 +368,10 @@ def _tokenize(text: str):
                     k += 1
                 if k == j + 1:
                     raise MalformedInputError("expected denominator after '/'")
-                tokens.append(Fraction(num, int(text[j + 1:k])))
+                den = int(text[j + 1:k])
+                if den == 0:
+                    raise MalformedInputError("zero denominator in polynomial")
+                tokens.append(Fraction(num, den))
                 i = k
             else:
                 tokens.append(Fraction(num))
@@ -497,10 +385,6 @@ def _tokenize(text: str):
         else:
             raise MalformedInputError(f"bad character {ch!r} in polynomial")
     return tokens
-
-
-def parse_poly(text: str, ctx: RingCtx) -> Poly:
-    return normalize(parse_raw(text), ctx)
 
 
 def format_poly(p: Poly) -> str:

@@ -25,7 +25,7 @@ from gimel.cube import (
     mirror,
     parse_pd,
 )
-from gimel.filtration import expand, gamma_at, gornik_class_fixture
+from gimel.filtration import gamma_at, gornik_class_fixture
 from gimel.fixtures import (
     acyclic_pair,
     pretzel_2m37_fixture,

@@ -17,6 +17,7 @@ from gimel.cli import (
     str_to_frac,
 )
 from gimel.complexes import evaluate
+from gimel.cube import MAX_CUBE_CROSSINGS, parse_pd
 from gimel.errors import MalformedInputError
 from gimel.fixtures import pretzel_2m37_fixture, s3_p754_fixture, unknot_fixture
 from gimel.pl import PiecewiseLinear
@@ -151,6 +152,40 @@ def test_compute_fixture_fields_not_objects(runner, tmp_path):
         path = tmp_path / f"{field}.json"
         path.write_text(json.dumps(d))
         _assert_malformed(runner.invoke(main, ["compute", "--fixture", str(path)]))
+
+
+def test_zero_denominator_in_entry(runner, tmp_path):
+    d = {
+        "name": "zero-denominator",
+        "n": 2,
+        "kind": "equivariant",
+        "modules": {"0": [0], "1": [0]},
+        "differentials": {"0": [["1/0"]]},
+    }
+    path = tmp_path / "zero.json"
+    path.write_text(json.dumps(d))
+    good = _write_fixture(tmp_path, unknot_fixture(2), "u")
+    for args in (
+        ["compute", "--fixture", str(path)],
+        ["decompose", "--fixture", str(path)],
+        ["tensor", str(path), good, "-o", str(tmp_path / "t.json")],
+        ["dual", str(path), "-o", str(tmp_path / "d.json")],
+    ):
+        _assert_malformed(runner.invoke(main, args))
+
+
+def test_compute_pd_over_crossing_limit(runner):
+    # T(2,11): X[2k-1, 2k-1+m, 2k, 2k+m] with edge labels mod 2m, m = 11
+    m = 11
+    quads = [
+        [(v - 1) % (2 * m) + 1 for v in (2 * k - 1, 2 * k - 1 + m, 2 * k, 2 * k + m)]
+        for k in range(1, m + 1)
+    ]
+    pd = "PD[" + ",".join("X[%d,%d,%d,%d]" % tuple(q) for q in quads) + "]"
+    assert len(parse_pd(pd).crossings) == m > MAX_CUBE_CROSSINGS
+    res = runner.invoke(main, ["compute", "--pd", pd])
+    _assert_malformed(res)
+    assert "crossings" in json.loads(res.stderr)["message"]
 
 
 def test_verify_malformed_report(runner, tmp_path):

@@ -1,5 +1,3 @@
-from fractions import Fraction as F
-
 import pytest
 
 from gimel.complexes import (

@@ -1,5 +1,3 @@
-from fractions import Fraction as F
-
 import pytest
 from conftest import FIG8_PD, KINK_NEG_PD, KINK_POS_PD, TREFOIL_PD, UNKNOT_PD
 

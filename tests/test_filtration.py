@@ -8,7 +8,7 @@ from hypothesis import strategies as st
 
 from gimel.complexes import evaluate, tensor
 from gimel.cube import gornik_cocycle_sl2, mirror, parse_pd
-from gimel.errors import InternalError, MalformedInputError, NondegeneracyError
+from gimel.errors import InternalError, MalformedInputError
 from gimel.filtration import (
     cohomology_dimension,
     expand,

@@ -1,0 +1,45 @@
+"""Every module-level import in the package and its tests is used.
+
+The check reads each file's syntax tree: a name bound by a top-level
+``import`` or ``from ... import`` must occur somewhere else in the file,
+as a name or as the root of an attribute chain.  ``from __future__``
+imports and the package ``__init__.py`` (whose imports are re-exports) are
+exempt.
+"""
+
+import ast
+from pathlib import Path
+
+import pytest
+
+ROOT = Path(__file__).resolve().parent.parent
+FILES = sorted(
+    p
+    for d in (ROOT / "src" / "gimel", ROOT / "tests")
+    for p in d.glob("*.py")
+    if p.name != "__init__.py"
+)
+
+
+def unused_imports(source: str):
+    tree = ast.parse(source)
+    bound = {}
+    for node in tree.body:
+        if isinstance(node, ast.ImportFrom) and node.module == "__future__":
+            continue
+        if isinstance(node, (ast.Import, ast.ImportFrom)):
+            for alias in node.names:
+                name = alias.asname or alias.name.split(".")[0]
+                bound[name] = node.lineno
+    used = {n.id for n in ast.walk(tree) if isinstance(n, ast.Name)}
+    return sorted((line, name) for name, line in bound.items() if name not in used)
+
+
+def test_scan_finds_an_unused_import():
+    src = "from __future__ import annotations\nimport os, sys\nfrom a import b as c\nsys.exit(os)\n"
+    assert unused_imports(src) == [(3, "c")]
+
+
+@pytest.mark.parametrize("path", FILES, ids=lambda p: f"{p.parent.name}/{p.name}")
+def test_no_unused_module_imports(path):
+    assert unused_imports(path.read_text(encoding="utf-8")) == []

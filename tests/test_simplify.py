@@ -1,5 +1,4 @@
 import random
-from fractions import Fraction as F
 
 import pytest
 from conftest import isomorphic_up_to_scaling
@@ -9,7 +8,6 @@ from gimel.errors import DecompositionError, InvalidRootError
 from gimel.filtration import cohomology_dimension
 from gimel.fixtures import (
     acyclic_pair,
-    pretzel_2m37_fixture,
     s3_p754_fixture,
     s3_p976_fixture,
     unknot_fixture,
