@@ -301,11 +301,10 @@ _cache_option = click.option(
 @main.command()
 @click.option("--fixture", "fixture_path", type=click.Path(exists=True))
 @click.option("--pd", "pd_text", type=str, default=None)
-@click.option("--n", "n", type=int, default=2, show_default=True)
 @click.option("-o", "--output", type=click.Path(), default=None)
 @_cache_option
 @_guarded
-def compute(fixture_path, pd_text, n, output, cache_dir):
+def compute(fixture_path, pd_text, output, cache_dir):
     """Full invariant report for a fixture or a PD diagram."""
     if (fixture_path is None) == (pd_text is None):
         raise MalformedInputError("provide exactly one of --fixture and --pd")
@@ -314,10 +313,8 @@ def compute(fixture_path, pd_text, n, output, cache_dir):
         with open(fixture_path, "r", encoding="utf-8") as fh:
             raw = fh.read()
         key = {"cmd": "compute", "fixture": raw}
-    elif n != 2:
-        raise MalformedInputError("diagram input supports n = 2 only")
     else:
-        key = {"cmd": "compute", "pd": pd_text, "n": n}
+        key = {"cmd": "compute", "pd": pd_text}
     cache_path = _cache_path(cache_dir, key)
     if cache_path and os.path.exists(cache_path):
         with open(cache_path, "r", encoding="utf-8") as fh:

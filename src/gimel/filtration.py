@@ -74,10 +74,13 @@ class ScalarComplex:
         return out
 
 
-def expand(
-    c: GradedFreeComplex, window: Optional[Sequence[int]] = (-1, 0, 1)
-) -> ScalarComplex:
-    """Monomial-basis expansion of a specialized complex.
+# The homological degrees the class membership questions read.
+WINDOW = (-1, 0, 1)
+
+
+def expand(c: GradedFreeComplex) -> ScalarComplex:
+    """Monomial-basis expansion of a specialized complex over the degrees
+    in ``WINDOW``.
 
     Each free generator of q-label s contributes monomials x^a (0 <= a < n)
     tagged (j, k) = (s + 1 - n + 2a, a).  Differential entries are expanded
@@ -86,7 +89,7 @@ def expand(
     if c.ctx.kind != SPECIALIZED:
         raise MalformedInputError("expand needs a specialized complex")
     n = c.ctx.n
-    degrees = [i for i in c.degrees() if window is None or i in window]
+    degrees = [i for i in c.degrees() if i in WINDOW]
 
     basis: Dict[int, Tuple[Monomial, ...]] = {}
     for i in degrees:

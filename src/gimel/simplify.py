@@ -2,9 +2,10 @@
 
 Gaussian elimination cancels differential entries that are nonzero rational
 constants (a deliberately conservative notion of unit: it is grading-safe in
-both ring kinds).  Decomposition into summands is the connected-component
-heuristic on the generator graph; the odd-Euler-characteristic summand is
-the equivariant Rasmussen summand.
+both ring kinds), in a fixed index order: by degree, then by column, then by
+row (Bar-Natan, "Fast Khovanov homology computations").  Decomposition into
+summands is the connected-component heuristic on the generator graph; the
+odd-Euler-characteristic summand is the equivariant Rasmussen summand.
 """
 
 from __future__ import annotations
@@ -33,82 +34,76 @@ def gauss_simplify(c: GradedFreeComplex) -> GradedFreeComplex:
     """Cancel invertible-constant entries until none remain.
 
     The result is homotopy equivalent to the input (it differs only by
-    acyclic summands).  Pivot choice: among unit entries, minimize
-    (row nonzeros - 1) * (column nonzeros - 1), ties broken by smallest
-    (degree, row, column), which makes the output deterministic.
+    acyclic summands).  Pivot order: passes over the degrees ascending and,
+    within a degree, the columns ascending; in each column the unit entry
+    of smallest row is cancelled.  Passes repeat until one cancels nothing,
+    which makes the output deterministic.
     """
+    z = zero(c.ctx)
     alive: Dict[int, List[bool]] = {i: [True] * c.rank(i) for i in c.degrees()}
-    mats: Dict[int, Dict[Tuple[int, int], Poly]] = {}
-    for i, _ in c.diffs:
-        d = c.diff(i)
-        mats[i] = {
-            (r, col): e
-            for r, row in enumerate(d)
-            for col, e in enumerate(row)
-            if not e.is_zero()
-        }
+    # d^i held twice, by row and by column: rows[i][r][col] is cols[i][col][r].
+    rows: Dict[int, Dict[int, Dict[int, Poly]]] = {}
+    cols: Dict[int, Dict[int, Dict[int, Poly]]] = {}
+    for i, mat in c.diffs:
+        rows[i], cols[i] = {}, {}
+        for r, row in enumerate(mat):
+            for col, e in enumerate(row):
+                if not e.is_zero():
+                    rows[i].setdefault(r, {})[col] = e
+                    cols[i].setdefault(col, {})[r] = e
 
-    def entry(i: int, r: int, col: int) -> Poly:
-        return mats.get(i, {}).get((r, col), zero(c.ctx))
+    def drop_row(i: int, r: int) -> None:
+        for col in rows.get(i, {}).pop(r, {}):
+            del cols[i][col][r]
 
-    while True:
-        best = None
-        for i in sorted(mats):
-            mat = mats[i]
-            if not mat:
-                continue
-            row_nnz: Dict[int, int] = {}
-            col_nnz: Dict[int, int] = {}
-            for (r, col) in mat:
-                row_nnz[r] = row_nnz.get(r, 0) + 1
-                col_nnz[col] = col_nnz.get(col, 0) + 1
-            for (r, col) in sorted(mat):
-                u = _unit_value(mat[(r, col)])
-                if u is None:
-                    continue
-                cost = (row_nnz[r] - 1) * (col_nnz[col] - 1)
-                key = (cost, i, r, col)
-                if best is None or key < best[0]:
-                    best = (key, i, r, col, u)
-        if best is None:
-            break
-        _, i, r0, c0, u = best
+    def drop_col(i: int, col: int) -> None:
+        for r in cols.get(i, {}).pop(col, {}):
+            del rows[i][r][col]
 
-        mat = mats[i]
-        beta = {col: e for (r, col), e in mat.items() if r == r0 and col != c0}
-        gamma = {r: e for (r, col), e in mat.items() if col == c0 and r != r0}
-        for r, ge in gamma.items():
-            for col, be in beta.items():
-                new = entry(i, r, col) - ge * (Fraction(1, 1) / u) * be
-                if new.is_zero():
-                    mat.pop((r, col), None)
+    cancelled = True
+    while cancelled:
+        cancelled = False
+        for i in sorted(cols):
+            for c0 in sorted(cols[i]):
+                for r0 in sorted(cols[i][c0]):
+                    u = _unit_value(cols[i][c0][r0])
+                    if u is not None:
+                        break
                 else:
-                    mat[(r, col)] = new
-        for key in [k for k in mat if k[0] == r0 or k[1] == c0]:
-            mat.pop(key)
-        if i - 1 in mats:
-            for key in [k for k in mats[i - 1] if k[0] == c0]:
-                mats[i - 1].pop(key)
-        if i + 1 in mats:
-            for key in [k for k in mats[i + 1] if k[1] == r0]:
-                mats[i + 1].pop(key)
-        alive[i][c0] = False
-        alive[i + 1][r0] = False
+                    continue
+                inv = Fraction(1, 1) / u
+                gamma = {r: e for r, e in cols[i][c0].items() if r != r0}
+                beta = {col: e for col, e in rows[i][r0].items() if col != c0}
+                for r, ge in gamma.items():
+                    for col, be in beta.items():
+                        new = rows[i][r].get(col, z) - ge * inv * be
+                        if new.is_zero():
+                            rows[i][r].pop(col, None)
+                            cols[i][col].pop(r, None)
+                        else:
+                            rows[i][r][col] = cols[i][col][r] = new
+                drop_row(i, r0)
+                drop_col(i, c0)
+                drop_row(i - 1, c0)
+                drop_col(i + 1, r0)
+                alive[i][c0] = False
+                alive[i + 1][r0] = False
+                cancelled = True
 
     keep = {i: [k for k, a in enumerate(alive[i]) if a] for i in alive}
     new_index = {
         i: {old: new for new, old in enumerate(keep[i])} for i in keep
     }
     mods = {i: [c.labels(i)[k] for k in keep[i]] for i in keep}
-    z = zero(c.ctx)
     diffs: Dict[int, List[List[Poly]]] = {}
-    for i, mat in mats.items():
-        rows, cols = len(keep.get(i + 1, [])), len(keep.get(i, []))
-        if rows == 0 or cols == 0:
+    for i, mat in rows.items():
+        nrows, ncols = len(keep.get(i + 1, [])), len(keep.get(i, []))
+        if nrows == 0 or ncols == 0:
             continue
-        m = [[z] * cols for _ in range(rows)]
-        for (r, col), e in mat.items():
-            m[new_index[i + 1][r]][new_index[i][col]] = e
+        m = [[z] * ncols for _ in range(nrows)]
+        for r, row in mat.items():
+            for col, e in row.items():
+                m[new_index[i + 1][r]][new_index[i][col]] = e
         diffs[i] = m
     return GradedFreeComplex.build(c.ctx, mods, diffs)
 

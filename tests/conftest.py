@@ -5,10 +5,12 @@ from __future__ import annotations
 
 import itertools
 from fractions import Fraction
+from typing import Dict, List, Tuple
 
-from gimel import linalg
 from gimel.complexes import GradedFreeComplex
 from gimel.filtration import ScalarComplex
+from gimel.ring import Poly, zero
+from gimel.simplify import _unit_value
 
 TREFOIL_PD = "PD[X[1,4,2,5],X[3,6,4,1],X[5,2,6,3]]"
 FIG8_PD = "PD[X[4,2,5,1],X[8,6,1,5],X[6,3,7,4],X[2,7,3,8]]"
@@ -17,6 +19,47 @@ KINK_POS_PD = "PD[X[2,1,1,2]]"
 UNKNOT_PD = "PD[]"
 
 PD_CORPUS = [UNKNOT_PD, KINK_NEG_PD, KINK_POS_PD, TREFOIL_PD, FIG8_PD]
+
+
+def _rref(m):
+    """Reduced row echelon form of a copy of the rows ``m`` and its pivot
+    columns.  The oracles' own exact elimination, so that none of them runs
+    on the package's linear algebra."""
+    m = [[Fraction(v) for v in row] for row in m]
+    pivots = []
+    for c in range(len(m[0]) if m else 0):
+        r = len(pivots)
+        p = next((k for k in range(r, len(m)) if m[k][c] != 0), None)
+        if p is None:
+            continue
+        m[r], m[p] = m[p], m[r]
+        lead = m[r][c]
+        m[r] = [v / lead for v in m[r]]
+        for k in range(len(m)):
+            if k != r and m[k][c] != 0:
+                f = m[k][c]
+                m[k] = [a - f * b for a, b in zip(m[k], m[r])]
+        pivots.append(c)
+    return m, pivots
+
+
+def _rank(m) -> int:
+    return len(_rref(m)[1])
+
+
+def _nullspace(m, cols: int):
+    """Basis of the kernel of the rows ``m``, each of length ``cols``."""
+    red, pivots = _rref(m)
+    basis = []
+    for f in range(cols):
+        if f in pivots:
+            continue
+        v = [Fraction(0)] * cols
+        v[f] = Fraction(1)
+        for row, c in zip(red, pivots):
+            v[c] = -row[f]
+        basis.append(v)
+    return basis
 
 
 def class_membership_oracle(s: ScalarComplex, psi, admissible) -> bool:
@@ -33,7 +76,7 @@ def class_membership_oracle(s: ScalarComplex, psi, admissible) -> bool:
         span.extend([dm1[r][c] for r in range(n0)] for c in range(s.dim(-1)))
     if s.dim(1):
         sub = [[d0[r][c] for c in adm] for r in range(s.dim(1))]
-        for v in linalg.nullspace(sub):
+        for v in _nullspace(sub, len(adm)):
             full = [Fraction(0)] * n0
             for c, val in zip(adm, v):
                 full[c] = val
@@ -43,7 +86,7 @@ def class_membership_oracle(s: ScalarComplex, psi, admissible) -> bool:
             full = [Fraction(0)] * n0
             full[c] = Fraction(1)
             span.append(full)
-    return linalg.rank(span + [list(psi)]) == linalg.rank(span)
+    return _rank(span + [list(psi)]) == _rank(span)
 
 
 def gamma_oracle(s: ScalarComplex, psi, t: Fraction) -> Fraction:
@@ -177,3 +220,89 @@ def _entry_ratio(e1, e2):
         return None
     ratios = {d2[k] / d1[k] for k in d1}
     return ratios.pop() if len(ratios) == 1 else None
+
+
+def gauss_reference(c: GradedFreeComplex) -> GradedFreeComplex:
+    """Cancel invertible-constant entries until none remain: the fill-in
+    cost rule that ``gimel.simplify.gauss_simplify`` replaced, kept as the
+    older path that the index-order elimination is checked against.
+
+    The result is homotopy equivalent to the input (it differs only by
+    acyclic summands).  Pivot choice: among unit entries, minimize
+    (row nonzeros - 1) * (column nonzeros - 1), ties broken by smallest
+    (degree, row, column), which makes the output deterministic.
+    """
+    alive: Dict[int, List[bool]] = {i: [True] * c.rank(i) for i in c.degrees()}
+    mats: Dict[int, Dict[Tuple[int, int], Poly]] = {}
+    for i, _ in c.diffs:
+        d = c.diff(i)
+        mats[i] = {
+            (r, col): e
+            for r, row in enumerate(d)
+            for col, e in enumerate(row)
+            if not e.is_zero()
+        }
+
+    def entry(i: int, r: int, col: int) -> Poly:
+        return mats.get(i, {}).get((r, col), zero(c.ctx))
+
+    while True:
+        best = None
+        for i in sorted(mats):
+            mat = mats[i]
+            if not mat:
+                continue
+            row_nnz: Dict[int, int] = {}
+            col_nnz: Dict[int, int] = {}
+            for (r, col) in mat:
+                row_nnz[r] = row_nnz.get(r, 0) + 1
+                col_nnz[col] = col_nnz.get(col, 0) + 1
+            for (r, col) in sorted(mat):
+                u = _unit_value(mat[(r, col)])
+                if u is None:
+                    continue
+                cost = (row_nnz[r] - 1) * (col_nnz[col] - 1)
+                key = (cost, i, r, col)
+                if best is None or key < best[0]:
+                    best = (key, i, r, col, u)
+        if best is None:
+            break
+        _, i, r0, c0, u = best
+
+        mat = mats[i]
+        beta = {col: e for (r, col), e in mat.items() if r == r0 and col != c0}
+        gamma = {r: e for (r, col), e in mat.items() if col == c0 and r != r0}
+        for r, ge in gamma.items():
+            for col, be in beta.items():
+                new = entry(i, r, col) - ge * (Fraction(1, 1) / u) * be
+                if new.is_zero():
+                    mat.pop((r, col), None)
+                else:
+                    mat[(r, col)] = new
+        for key in [k for k in mat if k[0] == r0 or k[1] == c0]:
+            mat.pop(key)
+        if i - 1 in mats:
+            for key in [k for k in mats[i - 1] if k[0] == c0]:
+                mats[i - 1].pop(key)
+        if i + 1 in mats:
+            for key in [k for k in mats[i + 1] if k[1] == r0]:
+                mats[i + 1].pop(key)
+        alive[i][c0] = False
+        alive[i + 1][r0] = False
+
+    keep = {i: [k for k, a in enumerate(alive[i]) if a] for i in alive}
+    new_index = {
+        i: {old: new for new, old in enumerate(keep[i])} for i in keep
+    }
+    mods = {i: [c.labels(i)[k] for k in keep[i]] for i in keep}
+    z = zero(c.ctx)
+    diffs: Dict[int, List[List[Poly]]] = {}
+    for i, mat in mats.items():
+        rows, cols = len(keep.get(i + 1, [])), len(keep.get(i, []))
+        if rows == 0 or cols == 0:
+            continue
+        m = [[z] * cols for _ in range(rows)]
+        for (r, col), e in mat.items():
+            m[new_index[i + 1][r]][new_index[i][col]] = e
+        diffs[i] = m
+    return GradedFreeComplex.build(c.ctx, mods, diffs)

@@ -1,9 +1,12 @@
 import json
 from fractions import Fraction as F
+from pathlib import Path
 
 import pytest
 from click.testing import CliRunner
 from conftest import TREFOIL_PD
+
+import gimel
 
 from gimel.cli import (
     fixture_from_dict,
@@ -19,7 +22,12 @@ from gimel.cli import (
 from gimel.complexes import evaluate
 from gimel.cube import MAX_CUBE_CROSSINGS, parse_pd
 from gimel.errors import MalformedInputError
-from gimel.fixtures import pretzel_2m37_fixture, s3_p754_fixture, unknot_fixture
+from gimel.fixtures import (
+    pretzel_2m37_fixture,
+    s3_p754_fixture,
+    s3_p976_fixture,
+    unknot_fixture,
+)
 from gimel.pl import PiecewiseLinear
 from gimel.ring import standard_potential
 
@@ -33,6 +41,23 @@ def _write_fixture(tmp_path, c, name):
     path = tmp_path / f"{name}.json"
     save_fixture(c, str(path), name=name)
     return str(path)
+
+
+# The builder of each JSON fixture bundled in gimel/data.
+BUNDLED = {
+    **{f"unknot_n{n}": (lambda n=n: unknot_fixture(n)) for n in range(2, 7)},
+    **{f"p2m37_n{n}": (lambda n=n: pretzel_2m37_fixture(n)) for n in range(3, 9)},
+    "s3_p754": s3_p754_fixture,
+    "s3_p976": s3_p976_fixture,
+}
+
+
+def test_bundled_fixtures_match_builders():
+    data = Path(gimel.__file__).parent / "data"
+    assert sorted(p.stem for p in data.glob("*.json")) == sorted(BUNDLED)
+    for name, build in BUNDLED.items():
+        with open(data / f"{name}.json", "r", encoding="utf-8") as fh:
+            assert fixture_from_dict(json.load(fh)) == build(), name
 
 
 def _assert_malformed(res):
@@ -124,8 +149,6 @@ def test_compute_input_errors(runner, tmp_path):
     res = runner.invoke(main, ["compute", "--fixture", str(bad)])
     assert res.exit_code == 1
     res = runner.invoke(main, ["compute", "--pd", "PD[X[1,1,1,2]]"])
-    assert res.exit_code == 1
-    res = runner.invoke(main, ["compute", "--pd", TREFOIL_PD, "--n", "3"])
     assert res.exit_code == 1
     path = _write_fixture(tmp_path, unknot_fixture(2), "u")
     res = runner.invoke(main, ["compute", "--fixture", path, "--pd", TREFOIL_PD])

@@ -1,9 +1,20 @@
 import random
+from fractions import Fraction
+from functools import partial
 
 import pytest
-from conftest import isomorphic_up_to_scaling
+from conftest import (
+    FIG8_PD,
+    KINK_NEG_PD,
+    KINK_POS_PD,
+    TREFOIL_PD,
+    UNKNOT_PD,
+    gauss_reference,
+    isomorphic_up_to_scaling,
+)
 
-from gimel.complexes import block_sum, euler, validate
+from gimel.complexes import GradedFreeComplex, block_sum, euler, tensor, validate
+from gimel.cube import build_equivariant_sl2, mirror, parse_pd
 from gimel.errors import DecompositionError, InvalidRootError
 from gimel.filtration import cohomology_dimension
 from gimel.fixtures import (
@@ -12,7 +23,7 @@ from gimel.fixtures import (
     s3_p976_fixture,
     unknot_fixture,
 )
-from gimel.ring import standard_potential
+from gimel.ring import equivariant_ctx, parse_poly, standard_potential
 from gimel.simplify import (
     extract_sn,
     gauss_simplify,
@@ -44,6 +55,78 @@ def test_gauss_preserves_euler_and_validity():
     assert validate(s).ok
     assert _no_unit_entries(s)
     assert s == base  # nothing to cancel inside the fixture itself
+
+
+GAUSS_PD = {
+    "unknot": UNKNOT_PD,
+    "kink-": KINK_NEG_PD,
+    "kink+": KINK_POS_PD,
+    "3_1": TREFOIL_PD,
+    "4_1": FIG8_PD,
+    # Knot Atlas diagrams
+    "5_1": "PD[X[1,6,2,7],X[3,8,4,9],X[5,10,6,1],X[7,2,8,3],X[9,4,10,5]]",
+    "5_2": "PD[X[1,4,2,5],X[3,8,4,9],X[5,10,6,1],X[9,6,10,7],X[7,2,8,3]]",
+}
+
+
+def _cube(pd):
+    return build_equivariant_sl2(parse_pd(pd))
+
+
+def _padded_unknot():
+    c = unknot_fixture(2)
+    for label, degree in ((0, -1), (2, 0), (-2, 1), (4, -2)):
+        c = block_sum(c, acyclic_pair(c.ctx, label, degree))
+    return c
+
+
+def _rescaled_fig8():
+    """The figure-eight cube in the basis (k + 1) * g_k of each degree, so
+    that its units are not all +-1."""
+    c = _cube(FIG8_PD)
+    diffs = {
+        i: [
+            [e * Fraction(col + 1, r + 1) for col, e in enumerate(row)]
+            for r, row in enumerate(c.diff(i))
+        ]
+        for i, _ in c.diffs
+    }
+    return GradedFreeComplex.build(c.ctx, dict(c.modules), diffs)
+
+
+def _trefoil_sum():
+    d = parse_pd(TREFOIL_PD)
+    return tensor(build_equivariant_sl2(d), build_equivariant_sl2(mirror(d)))
+
+
+GAUSS_INPUTS = {
+    **{k: partial(_cube, pd) for k, pd in GAUSS_PD.items()},
+    "4_1_rescaled": _rescaled_fig8,
+    "3_1#m3_1": _trefoil_sum,
+    "padded_unknot": _padded_unknot,
+}
+
+
+@pytest.mark.parametrize("name", sorted(GAUSS_INPUTS))
+def test_gauss_matches_cost_rule_reference(name):
+    c = GAUSS_INPUTS[name]()
+    new, old = gauss_simplify(c), gauss_reference(c)
+    assert new.degrees() == old.degrees()
+    for i in new.degrees():
+        assert sorted(new.labels(i)) == sorted(old.labels(i))
+    assert _no_unit_entries(new) and validate(new).ok
+    assert isomorphic_up_to_scaling(
+        extract_sn(split_components(new)), extract_sn(split_components(old))
+    )
+
+
+def test_gauss_repeats_passes_for_fill_in_units():
+    # Cancelling the unit at (0, 1) turns the entry at (1, 0) into
+    # (x + 1) - x = 1, a unit in a column the pass has already left.
+    ctx = equivariant_ctx(2)
+    x, one, x1 = (parse_poly(t, ctx) for t in ("x", "1", "x + 1"))
+    c = GradedFreeComplex.build(ctx, {0: [0, 0], 1: [0, 0]}, {0: [[x, one], [x1, one]]})
+    assert gauss_simplify(c).degrees() == [] == gauss_reference(c).degrees()
 
 
 def test_split_components():
