@@ -170,6 +170,12 @@ def save_fixture(c: GradedFreeComplex, path: str, name: str = "") -> None:
 # report schema
 
 
+REPORT_KEYS = frozenset({
+    "n", "name", "gimel", "gamma", "r", "u", "slope0", "value1", "s",
+    "genus_bound", "genus_bound_ceil",
+})
+
+
 def report_to_dict(rep: GimelReport) -> dict:
     return {
         "n": rep.n,
@@ -264,6 +270,21 @@ def _cache_store(path: Optional[str], text: str) -> None:
         raise
 
 
+def _cache_load(path: str) -> str:
+    """A cache entry's text, served only if it is exactly the canonical
+    dump of a report; anything else (a truncated or foreign entry) is
+    malformed input, never a result."""
+    with open(path, "r", encoding="utf-8") as fh:
+        text = fh.read()
+    try:
+        d = json.loads(text)
+    except json.JSONDecodeError:
+        d = None
+    if not (isinstance(d, dict) and d.keys() == REPORT_KEYS and _dump(d) == text):
+        raise MalformedInputError(f"{path}: corrupt cache entry, not a report")
+    return text
+
+
 def _emit(text: str, output: Optional[str]) -> None:
     if output:
         with open(output, "w", encoding="utf-8") as fh:
@@ -317,8 +338,7 @@ def compute(fixture_path, pd_text, output, cache_dir):
         key = {"cmd": "compute", "pd": pd_text}
     cache_path = _cache_path(cache_dir, key)
     if cache_path and os.path.exists(cache_path):
-        with open(cache_path, "r", encoding="utf-8") as fh:
-            _emit(fh.read(), output)
+        _emit(_cache_load(cache_path), output)
         return
 
     if fixture_path is not None:

@@ -66,7 +66,7 @@ class GradedFreeComplex:
                     f"differential at degree {i}: row lengths "
                     f"{[len(row) for row in mat]}, expected {tgt} rows of {src}"
                 )
-            if any(e.ctx != ctx for row in mat for e in row):
+            if any(e.ctx is not ctx and e.ctx != ctx for row in mat for e in row):
                 raise ContextMismatchError("matrix entry in a different ring context")
             cleaned[i] = tuple(tuple(row) for row in mat)
         return GradedFreeComplex(ctx, mods, tuple(sorted(cleaned.items())))

@@ -217,7 +217,7 @@ def oriented_vertex(d: Diagram) -> Tuple[int, ...]:
 
 def _poly(ctx, entries) -> Poly:
     """Poly over Q[x, a1] from {(x-exp, a1-exp): coeff}."""
-    return Poly.from_dict(ctx, {e: Fraction(c) for e, c in entries.items()})
+    return Poly.from_dict(ctx, entries)
 
 
 def _merge_outputs(ctx, e1: int, e2: int) -> List[Tuple[int, Poly]]:

@@ -10,11 +10,14 @@ Two kinds of ring context are supported:
 * ``specialized``: the quotient Q[x]/(dw) for a monic degree-n potential
   dw, with representatives of degree < n.
 
-All coefficients are ``fractions.Fraction``; no floating point anywhere.
+Coefficients are exact rationals: an integral coefficient is stored as an
+``int`` and any other as a ``fractions.Fraction``, so a value has one
+representation.  There is no floating point anywhere.
 """
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 from fractions import Fraction
@@ -73,12 +76,20 @@ class RingCtx:
         return ("x",) + tuple(f"a{i}" for i in range(1, self.n))
 
 
+# One shared instance per argument, so the context checks on every
+# operation and matrix entry usually succeed on identity alone.
+@functools.lru_cache(maxsize=None)
 def equivariant_ctx(n: int) -> RingCtx:
     return RingCtx(n, EQUIVARIANT)
 
 
 def specialized_ctx(n: int, potential: Iterable[Rational]) -> RingCtx:
-    return RingCtx(n, SPECIALIZED, tuple(Fraction(c) for c in potential))
+    return _specialized_ctx(n, tuple(Fraction(c) for c in potential))
+
+
+@functools.lru_cache(maxsize=64)
+def _specialized_ctx(n: int, potential: Tuple[Fraction, ...]) -> RingCtx:
+    return RingCtx(n, SPECIALIZED, potential)
 
 
 def standard_potential(n: int) -> Tuple[Fraction, ...]:
@@ -93,46 +104,57 @@ class Poly:
     """Polynomial in normal form for its context.
 
     ``terms`` maps exponent vectors (tuples over the context's variables)
-    to nonzero rational coefficients.  The zero polynomial has no terms.
-    Instances are immutable and hashable.
+    to nonzero rational coefficients: an ``int`` when the coefficient is
+    integral, a ``Fraction`` otherwise.  ``from_dict`` is the one
+    normal-form constructor, so equal polynomials have equal ``terms``, in
+    type as well as in value.  The zero polynomial has no terms.  Instances
+    are immutable and hashable.
     """
 
     ctx: RingCtx
-    terms: Tuple[Tuple[Tuple[int, ...], Fraction], ...]
+    terms: Tuple[Tuple[Tuple[int, ...], Rational], ...]
 
     @staticmethod
-    def from_dict(ctx: RingCtx, d: Mapping[Tuple[int, ...], Fraction]) -> "Poly":
-        items = tuple(sorted((e, c) for e, c in d.items() if c != 0))
+    def from_dict(ctx: RingCtx, d: Mapping[Tuple[int, ...], Rational]) -> "Poly":
+        items = tuple(sorted(
+            (e, c.numerator if type(c) is Fraction and c.denominator == 1 else c)
+            for e, c in d.items()
+            if c
+        ))
         return Poly(ctx, items)
 
     def is_zero(self) -> bool:
         return not self.terms
 
     def _check(self, other) -> None:
-        if not isinstance(other, Poly) or other.ctx != self.ctx:
+        if not isinstance(other, Poly) or (
+            other.ctx is not self.ctx and other.ctx != self.ctx
+        ):
             raise ContextMismatchError("operand context differs from target context")
 
     def __add__(self, other: "Poly") -> "Poly":
         self._check(other)
         d = dict(self.terms)
         for e, c in other.terms:
-            d[e] = d.get(e, Fraction(0)) + c
+            d[e] = d.get(e, 0) + c
         return Poly.from_dict(self.ctx, d)
 
     def __sub__(self, other: "Poly") -> "Poly":
         return self + -other
 
     def __mul__(self, other) -> "Poly":
-        """Product with a Poly of the same context, or with a scalar."""
+        """Product with a Poly of the same context, or with an int or
+        Fraction scalar (any other operand is a TypeError)."""
+        if isinstance(other, (int, Fraction)):
+            return Poly.from_dict(self.ctx, {e: v * other for e, v in self.terms})
         if not isinstance(other, Poly):
-            c = Fraction(other)
-            return Poly.from_dict(self.ctx, {e: v * c for e, v in self.terms})
+            return NotImplemented
         self._check(other)
         d: dict = {}
         for e1, c1 in self.terms:
             for e2, c2 in other.terms:
                 e = tuple(a + b for a, b in zip(e1, e2))
-                d[e] = d.get(e, Fraction(0)) + c1 * c2
+                d[e] = d.get(e, 0) + c1 * c2
         if self.ctx.kind == SPECIALIZED:
             return _reduce_mod_potential({e[0]: c for e, c in d.items()}, self.ctx)
         return Poly.from_dict(self.ctx, d)
@@ -151,9 +173,8 @@ def zero(ctx: RingCtx) -> Poly:
 
 
 def constant(ctx: RingCtx, c: Rational) -> Poly:
-    c = Fraction(c)
-    if c == 0:
-        return zero(ctx)
+    if not isinstance(c, (int, Fraction)):
+        raise TypeError(f"constant needs an int or Fraction, got {type(c).__name__}")
     return Poly.from_dict(ctx, {(0,) * ctx.nvars: c})
 
 
@@ -165,10 +186,10 @@ def _exps(ctx: RingCtx, k: int, i: int = 0) -> Tuple[int, ...]:
     return tuple(e)
 
 
-def x_power(ctx: RingCtx, a: int, c: Rational = 1) -> Poly:
+def x_power(ctx: RingCtx, a: int) -> Poly:
     if ctx.kind == SPECIALIZED:
-        return _reduce_mod_potential({a: Fraction(c)}, ctx)
-    return Poly.from_dict(ctx, {_exps(ctx, a): Fraction(c)})
+        return _reduce_mod_potential({a: 1}, ctx)
+    return Poly.from_dict(ctx, {_exps(ctx, a): 1})
 
 
 def _variable(name: str, ctx: RingCtx) -> Poly:
@@ -189,10 +210,10 @@ def _variable(name: str, ctx: RingCtx) -> Poly:
     if ctx.kind == SPECIALIZED:
         return constant(ctx, ctx.potential[i])
     if i:
-        return Poly.from_dict(ctx, {_exps(ctx, 0, i): Fraction(1)})
+        return Poly.from_dict(ctx, {_exps(ctx, 0, i): 1})
     # a0 = -(x^n + a_{n-1} x^{n-1} + ... + a1 x)
-    d = {_exps(ctx, j, j): Fraction(-1) for j in range(1, ctx.n)}
-    d[_exps(ctx, ctx.n)] = Fraction(-1)
+    d = {_exps(ctx, j, j): -1 for j in range(1, ctx.n)}
+    d[_exps(ctx, ctx.n)] = -1
     return Poly.from_dict(ctx, d)
 
 
@@ -211,8 +232,8 @@ def _reduce_mod_potential(coeffs: dict, ctx: RingCtx) -> Poly:
         for i in range(n):
             if pot[i] != 0:
                 e = m - n + i
-                coeffs[e] = coeffs.get(e, Fraction(0)) - c * pot[i]
-    return Poly.from_dict(ctx, {(e,): c for e, c in coeffs.items() if c != 0})
+                coeffs[e] = coeffs.get(e, 0) - c * pot[i]
+    return Poly.from_dict(ctx, {(e,): c for e, c in coeffs.items()})
 
 
 def term_degree(ctx: RingCtx, exps: Tuple[int, ...]) -> int:
@@ -246,8 +267,8 @@ def evaluate_poly(p: Poly, potential: Iterable[Rational]) -> Poly:
     the monic potential, then reduce mod dw."""
     if p.ctx.kind != EQUIVARIANT:
         raise ContextMismatchError("evaluate_poly needs an equivariant polynomial")
-    pot = tuple(Fraction(c) for c in potential)
-    tgt = specialized_ctx(p.ctx.n, pot)
+    tgt = specialized_ctx(p.ctx.n, potential)
+    pot = tgt.potential
     coeffs: dict = {}
     for e, c in p.terms:
         val = c
@@ -255,7 +276,7 @@ def evaluate_poly(p: Poly, potential: Iterable[Rational]) -> Poly:
             if e[i]:
                 val *= pot[i] ** e[i]
         xe = e[0]
-        coeffs[xe] = coeffs.get(xe, Fraction(0)) + val
+        coeffs[xe] = coeffs.get(xe, 0) + val
     return _reduce_mod_potential(coeffs, tgt)
 
 
@@ -268,11 +289,10 @@ def potential_derivative(ctx: RingCtx, order: int = 1) -> Poly:
         raise MalformedInputError("order must be >= 1")
     n = ctx.n
     d = {
-        _exps(ctx, i - order, i): Fraction(math.perm(i, order))
-        for i in range(order, n)
+        _exps(ctx, i - order, i): math.perm(i, order) for i in range(order, n)
     }
     if n >= order:
-        d[_exps(ctx, n - order)] = Fraction(math.perm(n, order))
+        d[_exps(ctx, n - order)] = math.perm(n, order)
     return Poly.from_dict(ctx, d)
 
 
@@ -315,7 +335,7 @@ def parse_poly(text: str, ctx: RingCtx) -> Poly:
         if peek() == "^":
             advance()
             t = peek()
-            if not isinstance(t, Fraction) or t.denominator != 1 or t < 0:
+            if not isinstance(t, (int, Fraction)) or t.denominator != 1 or t < 0:
                 raise MalformedInputError("exponent must be a non-negative integer")
             advance()
             out = constant(ctx, 1)
@@ -333,7 +353,7 @@ def parse_poly(text: str, ctx: RingCtx) -> Poly:
                 raise MalformedInputError("unbalanced parentheses")
             advance()
             return inner
-        if isinstance(t, Fraction):
+        if isinstance(t, (int, Fraction)):
             advance()
             return constant(ctx, t)
         if isinstance(t, str) and (t == "x" or t.startswith("a")):
@@ -374,7 +394,7 @@ def _tokenize(text: str):
                 tokens.append(Fraction(num, den))
                 i = k
             else:
-                tokens.append(Fraction(num))
+                tokens.append(num)
                 i = j
         elif ch.isalpha():
             j = i

@@ -71,7 +71,8 @@ def gauss_simplify(c: GradedFreeComplex) -> GradedFreeComplex:
                         break
                 else:
                     continue
-                inv = Fraction(1, 1) / u
+                # exact: never 1 / u, which is a float when u is an int
+                inv = u if u in (1, -1) else Fraction(1) / u
                 gamma = {r: e for r, e in cols[i][c0].items() if r != r0}
                 beta = {col: e for col, e in rows[i][r0].items() if col != c0}
                 for r, ge in gamma.items():

@@ -218,7 +218,7 @@ def _entry_ratio(e1, e2):
     d1, d2 = dict(e1.terms), dict(e2.terms)
     if set(d1) != set(d2):
         return None
-    ratios = {d2[k] / d1[k] for k in d1}
+    ratios = {Fraction(d2[k]) / d1[k] for k in d1}
     return ratios.pop() if len(ratios) == 1 else None
 
 

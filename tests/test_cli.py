@@ -9,6 +9,8 @@ from conftest import TREFOIL_PD
 import gimel
 
 from gimel.cli import (
+    REPORT_KEYS,
+    _dump,
     fixture_from_dict,
     fixture_to_dict,
     frac_to_str,
@@ -262,14 +264,37 @@ def test_cache_round_trip(runner, tmp_path, monkeypatch):
     (entry,) = cache.iterdir()
     assert entry.suffix == ".json" and entry.read_text() == r1.output
     # a second run is served from the entry, not recomputed
-    entry.write_text("served from cache\n")
+    served = _dump(dict(json.loads(r1.output), name="served from cache"))
+    entry.write_text(served)
     r2 = runner.invoke(main, ["compute", "--fixture", path], env=env)
-    assert r2.exit_code == 0 and r2.output == "served from cache\n"
+    assert r2.exit_code == 0 and r2.output == served
     # an entry written under another package version is not served
     monkeypatch.setattr("gimel.cli.__version__", "0.0.0-other")
     r3 = runner.invoke(main, ["compute", "--fixture", path], env=env)
     assert r3.exit_code == 0 and r3.output == r1.output
     assert sorted(p.suffix for p in cache.iterdir()) == [".json", ".json"]
+
+
+def test_compute_rejects_corrupt_cache_entry(runner, tmp_path):
+    path = _write_fixture(tmp_path, s3_p754_fixture(), "a")
+    cache = tmp_path / "cache"
+    env = {"GIMEL_CACHE_DIR": str(cache)}
+    good = runner.invoke(main, ["compute", "--fixture", path], env=env).output
+    assert set(json.loads(good)) == REPORT_KEYS
+    (entry,) = cache.iterdir()
+    corrupt = [
+        good[:40],  # truncated
+        good[:-1],  # truncated by its final newline only
+        _dump({"n": 2}),  # canonical JSON, but not a report
+        json.dumps(json.loads(good)) + "\n",  # a report, but not canonical
+    ]
+    for text in corrupt:
+        entry.write_text(text)
+        res = runner.invoke(main, ["compute", "--fixture", path], env=env)
+        assert res.exit_code == 1 and res.stdout == ""
+        err = json.loads(res.stderr)
+        assert err["error"] == "MalformedInputError"
+        assert str(entry) in err["message"]
 
 
 def test_tensor_and_dual_commands(runner, tmp_path):

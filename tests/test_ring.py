@@ -9,8 +9,11 @@ from gimel.errors import (
     MalformedInputError,
     UndefinedDegreeError,
 )
+from gimel.complexes import GradedFreeComplex
 from gimel.ring import (
+    EQUIVARIANT,
     Poly,
+    RingCtx,
     constant,
     equivariant_ctx,
     evaluate_poly,
@@ -110,6 +113,20 @@ def test_context_mismatch():
         evaluate_poly(parse_poly("x", specialized_ctx(2, standard_potential(2))), standard_potential(2))
 
 
+def test_contexts_are_shared_and_compared_by_value():
+    assert equivariant_ctx(3) is equivariant_ctx(3)
+    pot = standard_potential(2)
+    assert specialized_ctx(2, pot) is specialized_ctx(2, [0, -1])
+    # a context built directly is a different object but the same ring
+    other = RingCtx(3, EQUIVARIANT)
+    assert other is not equivariant_ctx(3)
+    p = parse_poly("x + a1", other)
+    q = parse_poly("x", equivariant_ctx(3))
+    assert p + q == q + p == parse_poly("2*x + a1", equivariant_ctx(3))
+    c = GradedFreeComplex.build(equivariant_ctx(3), {0: [0], 1: [-2]}, {0: [[p]]})
+    assert c.diff(0) == [[p]]
+
+
 def test_format_round_trip():
     ctx = equivariant_ctx(3)
     for text in ["0", "1", "-x", "x^2 - 1/3*a1*x + 2", "a2^2 - 3*a1"]:
@@ -157,6 +174,86 @@ def test_evaluation_is_a_ring_map(data):
     q = data.draw(_polys(ctx))
     assert evaluate_poly(p * q, pot) == evaluate_poly(p, pot) * evaluate_poly(q, pot)
     assert evaluate_poly(p + q, pot) == evaluate_poly(p, pot) + evaluate_poly(q, pot)
+
+
+# -- exactness oracle: int and non-integral Fraction coefficients mixed,
+# against plain {exponents: Fraction} dicts that never go through Poly.
+
+_mixed = st.integers(-3, 3) | st.fractions(
+    min_value=-3, max_value=3, max_denominator=4
+).filter(lambda f: f.denominator != 1)
+
+
+def _mixed_dicts(ctx):
+    exps = st.tuples(*[st.integers(0, 2)] * ctx.nvars)
+    return st.dictionaries(exps, _mixed, max_size=4)
+
+
+def _ref(d):
+    return {e: F(c) for e, c in d.items() if c != 0}
+
+
+def _ref_add(a, b):
+    return _ref({e: a.get(e, 0) + b.get(e, 0) for e in set(a) | set(b)})
+
+
+def _ref_mul(a, b):
+    out = {}
+    for e1, c1 in a.items():
+        for e2, c2 in b.items():
+            e = tuple(x + y for x, y in zip(e1, e2))
+            out[e] = out.get(e, 0) + F(c1) * c2
+    return _ref(out)
+
+
+def _canonical(p):
+    return all(
+        type(c) is int or (type(c) is F and c.denominator != 1) for _, c in p.terms
+    )
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.data())
+def test_mixed_coefficients_match_fraction_reference(data):
+    ctx = data.draw(st.sampled_from([equivariant_ctx(2), equivariant_ctx(3)]))
+    a, b = data.draw(_mixed_dicts(ctx)), data.draw(_mixed_dicts(ctx))
+    k = data.draw(_mixed)
+    p, q = Poly.from_dict(ctx, a), Poly.from_dict(ctx, b)
+    neg_b = {e: -c for e, c in b.items()}
+    cases = [
+        (p, _ref(a)),
+        (p + q, _ref_add(a, b)),
+        (p - q, _ref_add(a, neg_b)),
+        (p * q, _ref_mul(a, b)),
+        (p * k, _ref({e: F(c) * k for e, c in a.items()})),
+        (k * p, _ref({e: F(c) * k for e, c in a.items()})),
+    ]
+    for got, want in cases:
+        assert dict(got.terms) == want
+        assert _canonical(got)
+        back = parse_poly(format_poly(got), ctx)
+        assert back == got and [type(c) for _, c in back.terms] == [
+            type(c) for _, c in got.terms
+        ]
+    integral = {e: F(c.numerator) for e, c in _ref(a).items() if c.denominator == 1}
+    as_fraction = Poly.from_dict(ctx, integral)
+    as_int = Poly.from_dict(ctx, {e: int(c) for e, c in integral.items()})
+    assert format_poly(as_fraction) == format_poly(as_int)
+    assert as_fraction.terms == as_int.terms and _canonical(as_fraction)
+
+
+def test_scalars_must_be_int_or_fraction():
+    ctx = equivariant_ctx(2)
+    p = parse_poly("x + 1/2", ctx)
+    for bad in (0.5, 1.0, "2", None):
+        with pytest.raises(TypeError):
+            p * bad
+        with pytest.raises(TypeError):
+            bad * p
+        with pytest.raises(TypeError):
+            constant(ctx, bad)
+    assert p * 2 == p * F(2) == parse_poly("2*x + 1", ctx)
+    assert constant(ctx, F(3, 1)).terms == constant(ctx, 3).terms == (((0, 0), 3),)
 
 
 # -- parser oracle: the same expression tree, rendered to text and evaluated

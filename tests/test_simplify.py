@@ -7,6 +7,7 @@ from conftest import (
     FIG8_PD,
     KINK_NEG_PD,
     KINK_POS_PD,
+    PD_CORPUS,
     TREFOIL_PD,
     UNKNOT_PD,
     gauss_reference,
@@ -17,6 +18,7 @@ from gimel.complexes import GradedFreeComplex, block_sum, euler, tensor, validat
 from gimel.cube import build_equivariant_sl2, mirror, parse_pd
 from gimel.errors import DecompositionError, InvalidRootError
 from gimel.filtration import cohomology_dimension
+from gimel.pipeline import compute_report, specialize_for_sweep
 from gimel.fixtures import (
     acyclic_pair,
     s3_p754_fixture,
@@ -118,6 +120,38 @@ def test_gauss_matches_cost_rule_reference(name):
     assert isomorphic_up_to_scaling(
         extract_sn(split_components(new)), extract_sn(split_components(old))
     )
+
+
+SWEEP_INPUTS = {
+    **{k: partial(_cube, pd) for k, pd in GAUSS_PD.items() if pd in PD_CORPUS},
+    "4_1_rescaled": _rescaled_fig8,
+    "P754xP976": lambda: tensor(s3_p754_fixture(), s3_p976_fixture()),
+}
+
+
+def _exact(v) -> bool:
+    return type(v) in (int, Fraction)
+
+
+@pytest.mark.parametrize("name", sorted(SWEEP_INPUTS))
+def test_coefficients_stay_exact_up_to_the_sweep(name):
+    # Integral coefficients are ints and the rest Fractions; none is a float.
+    c = SWEEP_INPUTS[name]()
+    g = gauss_simplify(c)
+    for _, mat in g.diffs:
+        for e in (e for row in mat for e in row):
+            assert all(
+                type(v) is int or (type(v) is Fraction and v.denominator != 1)
+                for _, v in e.terms
+            )
+    s = specialize_for_sweep(c)
+    assert all(_exact(v) for mat in s.mats.values() for row in mat for v in row)
+    rep = compute_report(c)
+    scalars = [rep.r, rep.u, rep.slope0, rep.value1, rep.s_invariant,
+               rep.genus_bound, rep.genus_bound_ceil]
+    for f in (rep.gimel, rep.gamma):
+        scalars += [*f.breakpoints, *f.values]
+    assert all(_exact(v) for v in scalars)
 
 
 def test_gauss_repeats_passes_for_fill_in_units():
