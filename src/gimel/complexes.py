@@ -10,16 +10,16 @@ column-per-source.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from fractions import Fraction
 from typing import Dict, Iterable, List, Sequence, Tuple
 
-from .errors import ContextMismatchError, MalformedInputError
+from .errors import ContextMismatchError, InternalError, MalformedInputError
 from .ring import (
     EQUIVARIANT,
     Poly,
     Rational,
     RingCtx,
     evaluate_poly,
+    exact,
     quantum_degree,
     specialized_ctx,
     zero,
@@ -178,10 +178,40 @@ def shift(c: GradedFreeComplex, dt: int, dq: int) -> GradedFreeComplex:
     return GradedFreeComplex.build(c.ctx, mods, diffs)
 
 
+def sparse_columns(c: GradedFreeComplex) -> Dict[int, Dict[int, Dict[int, Poly]]]:
+    """The nonzero entries of every d^i, by column: ``out[i][col][row]``.
+
+    Reads each stored matrix once.  Columns and rows ascend; a column with
+    no nonzero entry is absent, and so is a degree without a stored
+    differential.
+    """
+    out: Dict[int, Dict[int, Dict[int, Poly]]] = {}
+    for i, mat in c.diffs:
+        cols = out[i] = {}
+        for col, column in enumerate(zip(*mat)):
+            entries = {r: e for r, e in enumerate(column) if e.terms}
+            if entries:
+                cols[col] = entries
+    return out
+
+
+def assign_once(mat: List[List[Poly]], row: int, col: int, e: Poly) -> None:
+    """Put e into a slot of a matrix under assembly; a slot that is
+    already nonzero is an InternalError, never overwritten or summed."""
+    if mat[row][col].terms:
+        raise InternalError(f"matrix slot ({row}, {col}) assigned twice")
+    mat[row][col] = e
+
+
 def tensor(c1: GradedFreeComplex, c2: GradedFreeComplex) -> GradedFreeComplex:
     """Tensor product complex with Koszul signs:
     d(g (x) h) = d(g) (x) h + (-1)^{|g|} g (x) d(h).
-    Generator q-labels add (each label carries the q^{1-n} background once)."""
+    Generator q-labels add (each label carries the q^{1-n} background once).
+
+    Every product slot receives at most one factor entry, so the entries
+    are assigned, never summed; c2's entries are negated once each, and
+    only if c1 has an odd degree.
+    """
     if c1.ctx != c2.ctx:
         raise ContextMismatchError("tensor operands live in different contexts")
     ctx = c1.ctx
@@ -200,32 +230,31 @@ def tensor(c1: GradedFreeComplex, c2: GradedFreeComplex) -> GradedFreeComplex:
     index = {
         deg: {g: k for k, g in enumerate(bucket)} for deg, bucket in gens.items()
     }
+    labs1, labs2 = dict(c1.modules), dict(c2.modules)
     mods = {
-        deg: [c1.labels(i1)[a] + c2.labels(i2)[b] for (i1, a, i2, b) in bucket]
+        deg: [labs1[i1][a] + labs2[i2][b] for (i1, a, i2, b) in bucket]
         for deg, bucket in gens.items()
     }
 
-    d1 = {i: c1.diff(i) for i in c1.degrees()}
-    d2 = {i: c2.diff(i) for i in c2.degrees()}
+    d1 = sparse_columns(c1)
+    d2 = {1: sparse_columns(c2)}
+    if any(i1 % 2 for i1 in c1.degrees()):
+        d2[-1] = {
+            i: {b: {tb: -e for tb, e in col.items()} for b, col in cols.items()}
+            for i, cols in d2[1].items()
+        }
     z = zero(ctx)
     diffs: Dict[int, List[List[Poly]]] = {}
     for deg, bucket in sorted(gens.items()):
         if deg + 1 not in gens:
             continue
-        tgt = gens[deg + 1]
+        tgt = index[deg + 1]
         mat = [[z] * len(bucket) for _ in range(len(tgt))]
         for col, (i1, a, i2, b) in enumerate(bucket):
-            for ta, row1 in enumerate(d1[i1]):
-                e = row1[a]
-                if not e.is_zero():
-                    row = index[deg + 1][(i1 + 1, ta, i2, b)]
-                    mat[row][col] = mat[row][col] + e
-            sign = -1 if i1 % 2 else 1
-            for tb, row2 in enumerate(d2[i2]):
-                e = row2[b]
-                if not e.is_zero():
-                    row = index[deg + 1][(i1, a, i2 + 1, tb)]
-                    mat[row][col] = mat[row][col] + sign * e
+            for ta, e in d1.get(i1, {}).get(a, {}).items():
+                assign_once(mat, tgt[(i1 + 1, ta, i2, b)], col, e)
+            for tb, e in d2[-1 if i1 % 2 else 1].get(i2, {}).get(b, {}).items():
+                assign_once(mat, tgt[(i1, a, i2 + 1, tb)], col, e)
         diffs[deg] = mat
     return GradedFreeComplex.build(ctx, mods, diffs)
 
@@ -248,7 +277,7 @@ def evaluate(c: GradedFreeComplex, potential: Iterable[Rational]) -> GradedFreeC
     potential (a_i -> coefficient of x^i, then reduction mod dw)."""
     if c.ctx.kind != EQUIVARIANT:
         raise ContextMismatchError("evaluate needs an equivariant complex")
-    pot = tuple(Fraction(v) for v in potential)
+    pot = tuple(exact(v) for v in potential)
     mods = {i: list(labs) for i, labs in c.modules}
     diffs = {
         i: [[evaluate_poly(e, pot) for e in row] for row in c.diff(i)]

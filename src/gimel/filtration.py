@@ -26,7 +26,14 @@ from .errors import (
     NondegeneracyError,
 )
 from .pl import PiecewiseLinear
-from .ring import SPECIALIZED, Rational, specialized_ctx, standard_potential, x_power
+from .ring import (
+    SPECIALIZED,
+    Rational,
+    exact,
+    specialized_ctx,
+    standard_potential,
+    x_power,
+)
 from .verify import genus_bound
 
 Vector = Tuple[Fraction, ...]
@@ -247,7 +254,7 @@ def _require_standard(s: ScalarComplex) -> None:
 def gamma_at(s: ScalarComplex, psi: Sequence[Fraction], t: Rational) -> Fraction:
     """Pointwise blended-filtration level of the class at parameter t."""
     _require_standard(s)
-    t = Fraction(t)
+    t = exact(t)
     if not 0 <= t <= 1:
         raise MalformedInputError(f"t = {t} outside [0,1]")
     scored = [
@@ -379,7 +386,7 @@ def s_general(s: ScalarComplex, alpha: Rational) -> Fraction:
     """Concordance bound from a general monic potential with a simple
     rational root alpha: the renormalized quantum filtration grading of the
     class generating the alpha-eigenspace of degree-0 cohomology."""
-    alpha = Fraction(alpha)
+    alpha = exact(alpha)
     n = s.n
     _check_simple_root(s.potential, alpha)
 

@@ -5,11 +5,10 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Iterable, List, Tuple, Union
+from typing import Iterable, List, Tuple
 
 from .errors import MalformedInputError
-
-Rational = Union[int, Fraction]
+from .ring import Rational, exact
 
 
 @dataclass(frozen=True)
@@ -23,7 +22,7 @@ class PiecewiseLinear:
 
     @staticmethod
     def from_points(points: Iterable[Tuple[Rational, Rational]]) -> "PiecewiseLinear":
-        pts = sorted((Fraction(t), Fraction(v)) for t, v in points)
+        pts = sorted((exact(t), exact(v)) for t, v in points)
         if not pts or pts[0][0] != 0 or pts[-1][0] != 1:
             raise MalformedInputError("breakpoints must start at 0 and end at 1")
         ts = [t for t, _ in pts]
@@ -44,7 +43,7 @@ class PiecewiseLinear:
 
     @staticmethod
     def linear(slope: Rational, intercept: Rational = 0) -> "PiecewiseLinear":
-        s, b = Fraction(slope), Fraction(intercept)
+        s, b = exact(slope), exact(intercept)
         return PiecewiseLinear.from_points([(0, b), (1, b + s)])
 
     @staticmethod
@@ -52,7 +51,7 @@ class PiecewiseLinear:
         return PiecewiseLinear.linear(0)
 
     def __call__(self, t: Rational) -> Fraction:
-        t = Fraction(t)
+        t = exact(t)
         if not 0 <= t <= 1:
             raise MalformedInputError(f"argument {t} outside [0,1]")
         bps = self.breakpoints
@@ -87,7 +86,7 @@ class PiecewiseLinear:
         return PiecewiseLinear.from_points([(t, self(t) - other(t)) for t in ts])
 
     def __mul__(self, c: Rational) -> "PiecewiseLinear":
-        c = Fraction(c)
+        c = exact(c)
         return PiecewiseLinear.from_points(
             [(t, v * c) for t, v in zip(self.breakpoints, self.values)]
         )

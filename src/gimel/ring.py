@@ -35,6 +35,20 @@ Rational = Union[int, Fraction]
 EQUIVARIANT = "equivariant"
 SPECIALIZED = "specialized"
 
+
+def require_exact(v: Rational) -> Rational:
+    """v unchanged if it is an int or a Fraction; anything else is a
+    TypeError, so no float ever enters exact data."""
+    if not isinstance(v, (int, Fraction)):
+        raise TypeError(f"expected an int or Fraction, got {type(v).__name__}")
+    return v
+
+
+def exact(v: Rational) -> Fraction:
+    """v as a Fraction, under require_exact's check."""
+    return Fraction(require_exact(v))
+
+
 @dataclass(frozen=True)
 class RingCtx:
     """Ring context: n plus either the formal (equivariant) or the
@@ -56,7 +70,7 @@ class RingCtx:
         if self.kind == SPECIALIZED:
             if self.potential is None:
                 raise MalformedInputError("specialized context needs a potential")
-            pot = tuple(Fraction(c) for c in self.potential)
+            pot = tuple(exact(c) for c in self.potential)
             if len(pot) != self.n:
                 raise DegreeMismatchError(
                     f"potential has {len(pot)} coefficients, expected {self.n}"
@@ -84,7 +98,7 @@ def equivariant_ctx(n: int) -> RingCtx:
 
 
 def specialized_ctx(n: int, potential: Iterable[Rational]) -> RingCtx:
-    return _specialized_ctx(n, tuple(Fraction(c) for c in potential))
+    return _specialized_ctx(n, tuple(exact(c) for c in potential))
 
 
 @functools.lru_cache(maxsize=64)
@@ -173,9 +187,7 @@ def zero(ctx: RingCtx) -> Poly:
 
 
 def constant(ctx: RingCtx, c: Rational) -> Poly:
-    if not isinstance(c, (int, Fraction)):
-        raise TypeError(f"constant needs an int or Fraction, got {type(c).__name__}")
-    return Poly.from_dict(ctx, {(0,) * ctx.nvars: c})
+    return Poly.from_dict(ctx, {(0,) * ctx.nvars: require_exact(c)})
 
 
 def _exps(ctx: RingCtx, k: int, i: int = 0) -> Tuple[int, ...]:

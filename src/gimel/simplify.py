@@ -14,10 +14,10 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Dict, Iterable, List, Optional, Tuple
 
-from .complexes import GradedFreeComplex, euler, evaluate
+from .complexes import GradedFreeComplex, euler, evaluate, sparse_columns
 from .errors import DecompositionError
 from .filtration import Monomial, ScalarComplex, _check_simple_root
-from .ring import EQUIVARIANT, Poly, Rational, zero
+from .ring import EQUIVARIANT, Poly, Rational, exact, zero
 
 
 def _unit_value(p: Poly) -> Optional[Fraction]:
@@ -42,15 +42,13 @@ def gauss_simplify(c: GradedFreeComplex) -> GradedFreeComplex:
     z = zero(c.ctx)
     alive: Dict[int, List[bool]] = {i: [True] * c.rank(i) for i in c.degrees()}
     # d^i held twice, by row and by column: rows[i][r][col] is cols[i][col][r].
+    cols = sparse_columns(c)
     rows: Dict[int, Dict[int, Dict[int, Poly]]] = {}
-    cols: Dict[int, Dict[int, Dict[int, Poly]]] = {}
-    for i, mat in c.diffs:
-        rows[i], cols[i] = {}, {}
-        for r, row in enumerate(mat):
-            for col, e in enumerate(row):
-                if not e.is_zero():
-                    rows[i].setdefault(r, {})[col] = e
-                    cols[i].setdefault(col, {})[r] = e
+    for i, by_col in cols.items():
+        rows[i] = {}
+        for col, entries in by_col.items():
+            for r, e in entries.items():
+                rows[i].setdefault(r, {})[col] = e
 
     def drop_row(i: int, r: int) -> None:
         for col in rows.get(i, {}).pop(r, {}):
@@ -73,16 +71,22 @@ def gauss_simplify(c: GradedFreeComplex) -> GradedFreeComplex:
                     continue
                 # exact: never 1 / u, which is a float when u is an int
                 inv = u if u in (1, -1) else Fraction(1) / u
-                gamma = {r: e for r, e in cols[i][c0].items() if r != r0}
+                # the pivot column scaled once by -u^-1: fill-in is then
+                # one product and one sum
+                gamma = {r: e * -inv for r, e in cols[i][c0].items() if r != r0}
                 beta = {col: e for col, e in rows[i][r0].items() if col != c0}
                 for r, ge in gamma.items():
+                    row = rows[i][r]
                     for col, be in beta.items():
-                        new = rows[i][r].get(col, z) - ge * inv * be
-                        if new.is_zero():
-                            rows[i][r].pop(col, None)
-                            cols[i][col].pop(r, None)
+                        new = ge * be
+                        if col in row:
+                            new = row[col] + new
+                        if new.terms:
+                            row[col] = cols[i][col][r] = new
                         else:
-                            rows[i][r][col] = cols[i][col][r] = new
+                            # cancelled, or a zero product in Q[x]/(dw)
+                            row.pop(col, None)
+                            cols[i][col].pop(r, None)
                 drop_row(i, r0)
                 drop_col(i, c0)
                 drop_row(i - 1, c0)
@@ -135,12 +139,10 @@ def split_components(c: GradedFreeComplex) -> Decomposition:
         if ra != rb:
             parent[max(ra, rb)] = min(ra, rb)
 
-    for i, _ in c.diffs:
-        mat = c.diff(i)
-        for r in range(c.rank(i + 1)):
-            for col in range(c.rank(i)):
-                if not mat[r][col].is_zero():
-                    union((i, col), (i + 1, r))
+    for i, by_col in sparse_columns(c).items():
+        for col, entries in by_col.items():
+            for r in entries:
+                union((i, col), (i + 1, r))
 
     groups: Dict[Tuple[int, int], List[Tuple[int, int]]] = {}
     for v in nodes:
@@ -155,11 +157,10 @@ def split_components(c: GradedFreeComplex) -> Decomposition:
         }
         mods = {i: [c.labels(i)[k] for k in idx[i]] for i in idx if idx[i]}
         diffs = {}
-        for i, _ in c.diffs:
+        for i, full in c.diffs:
             src, tgt = idx.get(i, []), idx.get(i + 1, [])
             if not src or not tgt:
                 continue
-            full = c.diff(i)
             diffs[i] = [[full[r][col] for col in src] for r in tgt]
         summands.append(GradedFreeComplex.build(c.ctx, mods, diffs))
         provenance.append(tuple(members))
@@ -199,8 +200,8 @@ def reduced_complex(
     Returns a ScalarComplex (the image is a complex of Q-vector spaces, not
     of free modules over the ring context).
     """
-    pot = tuple(Fraction(v) for v in potential)
-    alpha = Fraction(alpha)
+    pot = tuple(exact(v) for v in potential)
+    alpha = exact(alpha)
     _check_simple_root(pot, alpha)
     if s.ctx.kind == EQUIVARIANT:
         s = evaluate(s, pot)

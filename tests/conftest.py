@@ -7,10 +7,13 @@ import itertools
 from fractions import Fraction
 from typing import Dict, List, Tuple
 
+import pytest
+
 from gimel.complexes import GradedFreeComplex
+from gimel.errors import ContextMismatchError
 from gimel.filtration import ScalarComplex
 from gimel.ring import Poly, zero
-from gimel.simplify import _unit_value
+from gimel.simplify import Decomposition, _unit_value
 
 TREFOIL_PD = "PD[X[1,4,2,5],X[3,6,4,1],X[5,2,6,3]]"
 FIG8_PD = "PD[X[4,2,5,1],X[8,6,1,5],X[6,3,7,4],X[2,7,3,8]]"
@@ -19,6 +22,21 @@ KINK_POS_PD = "PD[X[2,1,1,2]]"
 UNKNOT_PD = "PD[]"
 
 PD_CORPUS = [UNKNOT_PD, KINK_NEG_PD, KINK_POS_PD, TREFOIL_PD, FIG8_PD]
+
+
+@pytest.fixture
+def from_dict_calls(monkeypatch):
+    """A one-element list counting calls to ``Poly.from_dict``, the one
+    normal-form constructor that every ``Poly`` operation ends in."""
+    calls = [0]
+    original = Poly.from_dict
+
+    def counting(ctx, d):
+        calls[0] += 1
+        return original(ctx, d)
+
+    monkeypatch.setattr(Poly, "from_dict", staticmethod(counting))
+    return calls
 
 
 def _rref(m):
@@ -306,3 +324,109 @@ def gauss_reference(c: GradedFreeComplex) -> GradedFreeComplex:
             m[new_index[i + 1][r]][new_index[i][col]] = e
         diffs[i] = m
     return GradedFreeComplex.build(c.ctx, mods, diffs)
+
+
+def tensor_reference(c1: GradedFreeComplex, c2: GradedFreeComplex) -> GradedFreeComplex:
+    """The accumulating dense tensor product that ``gimel.complexes.tensor``
+    replaced, kept as the older path the assembling one is checked against.
+
+    Tensor product complex with Koszul signs:
+    d(g (x) h) = d(g) (x) h + (-1)^{|g|} g (x) d(h).
+    Generator q-labels add (each label carries the q^{1-n} background once)."""
+    if c1.ctx != c2.ctx:
+        raise ContextMismatchError("tensor operands live in different contexts")
+    ctx = c1.ctx
+
+    # generator list per total degree: (i1, a, i2, b), ordered
+    gens: Dict[int, List[Tuple[int, int, int, int]]] = {}
+    for i1, labs1 in c1.modules:
+        for i2, labs2 in c2.modules:
+            bucket = gens.setdefault(i1 + i2, [])
+            for a in range(len(labs1)):
+                for b in range(len(labs2)):
+                    bucket.append((i1, a, i2, b))
+    for bucket in gens.values():
+        bucket.sort()
+
+    index = {
+        deg: {g: k for k, g in enumerate(bucket)} for deg, bucket in gens.items()
+    }
+    mods = {
+        deg: [c1.labels(i1)[a] + c2.labels(i2)[b] for (i1, a, i2, b) in bucket]
+        for deg, bucket in gens.items()
+    }
+
+    d1 = {i: c1.diff(i) for i in c1.degrees()}
+    d2 = {i: c2.diff(i) for i in c2.degrees()}
+    z = zero(ctx)
+    diffs: Dict[int, List[List[Poly]]] = {}
+    for deg, bucket in sorted(gens.items()):
+        if deg + 1 not in gens:
+            continue
+        tgt = gens[deg + 1]
+        mat = [[z] * len(bucket) for _ in range(len(tgt))]
+        for col, (i1, a, i2, b) in enumerate(bucket):
+            for ta, row1 in enumerate(d1[i1]):
+                e = row1[a]
+                if not e.is_zero():
+                    row = index[deg + 1][(i1 + 1, ta, i2, b)]
+                    mat[row][col] = mat[row][col] + e
+            sign = -1 if i1 % 2 else 1
+            for tb, row2 in enumerate(d2[i2]):
+                e = row2[b]
+                if not e.is_zero():
+                    row = index[deg + 1][(i1, a, i2 + 1, tb)]
+                    mat[row][col] = mat[row][col] + sign * e
+        diffs[deg] = mat
+    return GradedFreeComplex.build(ctx, mods, diffs)
+
+
+def split_reference(c: GradedFreeComplex) -> Decomposition:
+    """The dense-scan ``gimel.simplify.split_components`` that the sparse
+    reader replaced, kept as the older path it is checked against.
+
+    Partition generators into connected components of the graph whose
+    edges are nonzero differential entries."""
+    nodes = [(i, k) for i in c.degrees() for k in range(c.rank(i))]
+    parent = {v: v for v in nodes}
+
+    def find(v):
+        while parent[v] != v:
+            parent[v] = parent[parent[v]]
+            v = parent[v]
+        return v
+
+    def union(a, b):
+        ra, rb = find(a), find(b)
+        if ra != rb:
+            parent[max(ra, rb)] = min(ra, rb)
+
+    for i, _ in c.diffs:
+        mat = c.diff(i)
+        for r in range(c.rank(i + 1)):
+            for col in range(c.rank(i)):
+                if not mat[r][col].is_zero():
+                    union((i, col), (i + 1, r))
+
+    groups: Dict[Tuple[int, int], List[Tuple[int, int]]] = {}
+    for v in nodes:
+        groups.setdefault(find(v), []).append(v)
+
+    summands = []
+    provenance = []
+    for root in sorted(groups):
+        members = sorted(groups[root])
+        idx = {
+            i: [k for (d, k) in members if d == i] for i in c.degrees()
+        }
+        mods = {i: [c.labels(i)[k] for k in idx[i]] for i in idx if idx[i]}
+        diffs = {}
+        for i, _ in c.diffs:
+            src, tgt = idx.get(i, []), idx.get(i + 1, [])
+            if not src or not tgt:
+                continue
+            full = c.diff(i)
+            diffs[i] = [[full[r][col] for col in src] for r in tgt]
+        summands.append(GradedFreeComplex.build(c.ctx, mods, diffs))
+        provenance.append(tuple(members))
+    return Decomposition(tuple(summands), tuple(provenance))

@@ -113,3 +113,22 @@ def test_gornik_cocycle_corpus_checks():
         assert any(v != 0 for v in psi)
         # supported on x-exponent 1 monomials of the oriented vertex
         assert all(s.basis[0][i].a == 1 for i, v in enumerate(psi) if v)
+
+
+SEVEN_1_PD = (
+    "PD[X[1,8,2,9],X[3,10,4,11],X[5,12,6,13],X[7,14,8,1],X[9,2,10,3],"
+    "X[11,4,12,5],X[13,6,14,7]]"
+)
+
+
+def test_cube_assembly_count_does_not_grow(from_dict_calls):
+    """Every edge-map term is a shared coefficient, assigned: the Poly
+    constructions of a build do not depend on the size of the cube."""
+    small, large = parse_pd(TREFOIL_PD), parse_pd(SEVEN_1_PD)
+    build_equivariant_sl2(small)  # warm-up
+    counts = []
+    for d in (small, large):
+        from_dict_calls[0] = 0
+        build_equivariant_sl2(d)
+        counts.append(from_dict_calls[0])
+    assert counts[0] == counts[1]

@@ -268,3 +268,12 @@ def test_s_general_rejects_bad_root():
 
     with pytest.raises(InvalidRootError):
         s_general(s, 7)
+
+
+def test_gamma_at_and_s_general_reject_floats():
+    s, psi = _tensor_example()
+    with pytest.raises(TypeError):
+        gamma_at(s, psi, 0.5)
+    with pytest.raises(TypeError):
+        s_general(s, 1.0)
+    assert gamma_at(s, psi, F(1, 2)) == F(-1, 2)

@@ -12,15 +12,18 @@ from gimel.errors import (
 from gimel.complexes import GradedFreeComplex
 from gimel.ring import (
     EQUIVARIANT,
+    SPECIALIZED,
     Poly,
     RingCtx,
     constant,
     equivariant_ctx,
     evaluate_poly,
+    exact,
     format_poly,
     parse_poly,
     potential_derivative,
     quantum_degree,
+    require_exact,
     specialized_ctx,
     standard_potential,
     zero,
@@ -327,3 +330,19 @@ def test_parse_matches_fraction_evaluation(data):
     assert _poly_value(p, point) == _value(tree, point)
     pot = data.draw(st.lists(_coef, min_size=n, max_size=n))
     assert parse_poly(text, specialized_ctx(n, pot)) == evaluate_poly(p, pot)
+
+
+def test_contexts_reject_floats():
+    for bad in (0.1, 1.0, "1", None):
+        with pytest.raises(TypeError):
+            exact(bad)
+        with pytest.raises(TypeError):
+            require_exact(bad)
+        with pytest.raises(TypeError):
+            specialized_ctx(2, [bad, -1])
+        with pytest.raises(TypeError):
+            RingCtx(2, SPECIALIZED, (0, bad))
+    assert exact(3) == F(3) and type(exact(3)) is F
+    assert type(require_exact(3)) is int and require_exact(F(1, 3)) == F(1, 3)
+    assert exact(F(1, 3)) == F(1, 3)
+    assert specialized_ctx(2, [0, -1]).potential == (F(0), F(-1))

@@ -1,6 +1,8 @@
+import json
 import random
 from fractions import Fraction
 from functools import partial
+from pathlib import Path
 
 import pytest
 from conftest import (
@@ -12,8 +14,11 @@ from conftest import (
     UNKNOT_PD,
     gauss_reference,
     isomorphic_up_to_scaling,
+    split_reference,
 )
 
+import gimel
+from gimel.cli import fixture_from_dict
 from gimel.complexes import GradedFreeComplex, block_sum, euler, tensor, validate
 from gimel.cube import build_equivariant_sl2, mirror, parse_pd
 from gimel.errors import DecompositionError, InvalidRootError
@@ -25,7 +30,7 @@ from gimel.fixtures import (
     s3_p976_fixture,
     unknot_fixture,
 )
-from gimel.ring import equivariant_ctx, parse_poly, standard_potential
+from gimel.ring import equivariant_ctx, parse_poly, specialized_ctx, standard_potential
 from gimel.simplify import (
     extract_sn,
     gauss_simplify,
@@ -221,3 +226,46 @@ def test_reduced_complex_rejects_bad_root():
         reduced_complex(c, standard_potential(3), 2)  # not a root
     with pytest.raises(InvalidRootError):
         reduced_complex(c, standard_potential(3), 0)  # multiple root
+
+
+def test_reduced_complex_rejects_floats():
+    c = unknot_fixture(3)
+    with pytest.raises(TypeError):
+        reduced_complex(c, [0.0, 0.0, -1.0], 1)
+    with pytest.raises(TypeError):
+        reduced_complex(c, standard_potential(3), 1.0)
+
+
+def test_gauss_drops_a_fill_in_product_that_vanishes():
+    """Over Q[x]/(x^2 - x), x * (x - 1) = 0: cancelling the unit at (0, 0)
+    sends the empty slot (1, 1) to -x * (x - 1) = 0, which stays empty."""
+    ctx = specialized_ctx(2, standard_potential(2))
+    one, x, x1, z = (parse_poly(t, ctx) for t in ("1", "x", "x - 1", "0"))
+    c = GradedFreeComplex.build(ctx, {0: [0, 0], 1: [0, 0]}, {0: [[one, x1], [x, z]]})
+    out = gauss_simplify(c)
+    assert [(i, out.rank(i)) for i in out.degrees()] == [(0, 1), (1, 1)]
+    assert out.diff(0) == [[z]]
+    assert out == gauss_reference(c)
+
+
+def _bundled(path):
+    with open(path, "r", encoding="utf-8") as fh:
+        return fixture_from_dict(json.load(fh))
+
+
+SPLIT_INPUTS = {
+    **{
+        p.stem: partial(_bundled, p)
+        for p in (Path(gimel.__file__).parent / "data").glob("*.json")
+    },
+    "3_1 eliminated": lambda: gauss_simplify(_cube(TREFOIL_PD)),
+    "5_2 eliminated": lambda: gauss_simplify(_cube(GAUSS_PD["5_2"])),
+}
+
+
+@pytest.mark.parametrize("name", sorted(SPLIT_INPUTS))
+def test_split_components_matches_dense_reference(name):
+    c = SPLIT_INPUTS[name]()
+    new, old = split_components(c), split_reference(c)
+    assert new.provenance == old.provenance
+    assert new.summands == old.summands

@@ -1,5 +1,6 @@
 from fractions import Fraction as F
 
+import pytest
 from conftest import PD_CORPUS, TREFOIL_PD
 
 from gimel.complexes import dual, tensor
@@ -82,3 +83,23 @@ def test_genus_bound_values():
     assert genus_bound(compute_report(unknot_fixture(2)).gimel) == 0
     ab = compute_report(tensor(s3_p754_fixture(), s3_p976_fixture()))
     assert genus_bound(ab.gimel) == F(1, 2)
+
+
+def test_piecewise_linear_rejects_floats():
+    f = PiecewiseLinear.from_points([(0, 0), (1, F(1, 10))])
+    with pytest.raises(TypeError):
+        PiecewiseLinear.from_points([(0, 0), (1, 0.1)])
+    with pytest.raises(TypeError):
+        PiecewiseLinear.from_points([(0.0, 0), (1, 0)])
+    with pytest.raises(TypeError):
+        PiecewiseLinear.linear(0.5)
+    with pytest.raises(TypeError):
+        PiecewiseLinear.linear(1, 0.5)
+    with pytest.raises(TypeError):
+        f(0.5)
+    with pytest.raises(TypeError):
+        f * 0.5
+    with pytest.raises(TypeError):
+        0.5 * f
+    assert f(F(1, 2)) == F(1, 20)
+    assert (2 * f).values == (0, F(1, 5)) == PiecewiseLinear.linear(F(1, 5)).values
