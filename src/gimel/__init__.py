@@ -17,9 +17,7 @@ from .cube import (
     Diagram,
     ResolutionState,
     build_equivariant_sl2,
-    gornik_cocycle_sl2,
     mirror,
-    oriented_vertex,
     parse_pd,
     resolve,
 )
@@ -71,7 +69,6 @@ from .simplify import (
     Decomposition,
     extract_sn,
     gauss_simplify,
-    reduced_complex,
     split_components,
 )
 from .verify import (

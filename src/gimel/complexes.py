@@ -113,20 +113,14 @@ def validate(c: GradedFreeComplex) -> ComplexReport:
     Failures are reported, not raised.
     """
     failures: List[str] = []
-    n = c.ctx.n
+    cols = sparse_columns(c)
 
-    for i in c.degrees():
-        src = c.labels(i)
-        tgt = c.labels(i + 1)
-        if not tgt:
-            continue
-        mat = c.diff(i)
-        for col, s in enumerate(src):
-            for row, t in enumerate(tgt):
-                e = mat[row][col]
-                if e.is_zero():
-                    continue
-                want = (s + 1 - n) - (t + 1 - n)
+    # the first bad entry of each degree, in column-major order
+    for i, by_col in cols.items():
+        src, tgt = c.labels(i), c.labels(i + 1)
+        for col, entries in by_col.items():
+            for row, e in entries.items():
+                want = src[col] - tgt[row]
                 got = quantum_degree(e)
                 if c.ctx.kind == EQUIVARIANT:
                     if got != want:
@@ -135,33 +129,29 @@ def validate(c: GradedFreeComplex) -> ComplexReport:
                             f"{got}, expected {want}"
                         )
                         break
-                else:
-                    if got > want:
-                        failures.append(
-                            f"degree {i} entry ({row},{col}): filtration level "
-                            f"{got} exceeds {want}"
-                        )
-                        break
-            else:
-                continue
-            break
-
-    for i in c.degrees():
-        if c.rank(i + 1) == 0 or c.rank(i + 2) == 0:
-            continue
-        d0 = c.diff(i)
-        d1 = c.diff(i + 1)
-        for row in range(c.rank(i + 2)):
-            for col in range(c.rank(i)):
-                acc = zero(c.ctx)
-                for k in range(c.rank(i + 1)):
-                    acc = acc + d1[row][k] * d0[k][col]
-                if not acc.is_zero():
-                    failures.append(f"d^2 != 0 at degree {i}, entry ({row},{col})")
+                elif got > want:
+                    failures.append(
+                        f"degree {i} entry ({row},{col}): filtration level "
+                        f"{got} exceeds {want}"
+                    )
                     break
             else:
                 continue
             break
+
+    # the first nonzero entry of each d^{i+1} d^i, in row-major order
+    for i, by_col in cols.items():
+        after = cols.get(i + 1, {})
+        nonzero = []
+        for col, entries in by_col.items():
+            acc: Dict[int, Poly] = {}
+            for k, e in entries.items():
+                for row, e2 in after.get(k, {}).items():
+                    acc[row] = acc[row] + e2 * e if row in acc else e2 * e
+            nonzero += [(row, col) for row, p in acc.items() if p.terms]
+        if nonzero:
+            row, col = min(nonzero)
+            failures.append(f"d^2 != 0 at degree {i}, entry ({row},{col})")
 
     ranks = tuple((i, c.rank(i)) for i in c.degrees())
     return ComplexReport(ranks, euler(c), not failures, tuple(failures))

@@ -13,14 +13,11 @@ from __future__ import annotations
 import itertools
 import re
 from dataclasses import dataclass
-from fractions import Fraction
-from typing import Dict, FrozenSet, List, Optional, Sequence, Tuple
+from typing import Dict, FrozenSet, List, Sequence, Tuple
 
-from . import linalg
-from .complexes import GradedFreeComplex, assign_once, evaluate
+from .complexes import GradedFreeComplex, assign_once
 from .errors import InternalError, MalformedInputError
-from .filtration import ScalarComplex, expand
-from .ring import Poly, constant, equivariant_ctx, standard_potential, zero
+from .ring import Poly, constant, equivariant_ctx, zero
 
 Crossing = Tuple[int, int, int, int]
 
@@ -207,12 +204,6 @@ def resolve(d: Diagram, vertex: Sequence[int]) -> ResolutionState:
     return ResolutionState(vertex, circles, bp)
 
 
-def oriented_vertex(d: Diagram) -> Tuple[int, ...]:
-    """The orientation-preserving smoothing: 0 at positive crossings, 1 at
-    negative ones."""
-    return tuple(0 if s > 0 else 1 for s in d.signs)
-
-
 # ---------------------------------------------------------------------------
 # cube construction
 
@@ -391,63 +382,3 @@ def build_cube(d: Diagram) -> CubeData:
 
 def build_equivariant_sl2(d: Diagram) -> GradedFreeComplex:
     return build_cube(d).complex
-
-
-def gornik_cocycle_sl2(d: Diagram, cube: Optional[CubeData] = None) -> Tuple[ScalarComplex, Tuple[Fraction, ...]]:
-    """The distinguished degree-0 cocycle of the specialized (x^2 - x) cube:
-    every circle of the oriented resolution labeled x.
-
-    Returns the expanded scalar complex of the full cube together with the
-    cocycle vector in its degree-0 basis.  Checks that the vector is a
-    cocycle, not a coboundary, and a fixed point of the x-action; any
-    failure is a convention bug, reported as InternalError.
-    """
-    if cube is None:
-        cube = build_cube(d)
-    pot = standard_potential(2)
-    s = expand(evaluate(cube.complex, pot))
-
-    r0 = oriented_vertex(d)
-    zero_gens = cube.generators.get(0, [])
-    st = resolve(d, r0)
-    k = len(st.circles) - 1
-    pos_of = {}
-    for g, (r, eps) in enumerate(zero_gens):
-        if r == r0:
-            pos_of[eps] = next(
-                p
-                for p, mono in enumerate(s.basis[0])
-                if mono.gen == g and mono.a == 1
-            )
-    d0 = s.matrix(0)
-
-    # Each circle carries a root idempotent of x^2 - x: the element y
-    # (root 1) or y - 1 (root 0); the basepoint circle carries x.  The
-    # cocycle condition forces adjacent circles at merge edges to carry
-    # different roots; search the assignments for the cocycle.
-    psi = None
-    for labels in itertools.product((1, 0), repeat=k):
-        cand = [Fraction(0)] * s.dim(0)
-        for eps in itertools.product((0, 1), repeat=k):
-            coeff = Fraction(1)
-            for lab, e in zip(labels, eps):
-                if lab == 1 and e == 0:
-                    coeff = Fraction(0)
-                    break
-                if lab == 0 and e == 0:
-                    coeff = -coeff
-            if coeff:
-                cand[pos_of[eps]] = coeff
-        if s.dim(1) and any(v != 0 for v in linalg.mat_vec(d0, cand)):
-            continue
-        if s.dim(-1) and linalg.in_column_span(s.matrix(-1), cand):
-            continue
-        psi = cand
-        break
-    if psi is None:
-        raise InternalError(
-            "no oriented-resolution root labeling is a noncobounding cocycle"
-        )
-    if linalg.mat_vec(s.x_action(), psi) != psi:
-        raise InternalError("oriented-resolution class is not an x-eigenvector")
-    return s, tuple(psi)

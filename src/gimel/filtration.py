@@ -15,10 +15,10 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Dict, List, NamedTuple, Optional, Sequence, Tuple
+from typing import Dict, NamedTuple, Sequence, Tuple
 
 from . import linalg
-from .complexes import GradedFreeComplex
+from .complexes import GradedFreeComplex, sparse_columns
 from .errors import (
     InternalError,
     InvalidRootError,
@@ -28,6 +28,7 @@ from .errors import (
 from .pl import PiecewiseLinear
 from .ring import (
     SPECIALIZED,
+    Poly,
     Rational,
     exact,
     specialized_ctx,
@@ -50,35 +51,33 @@ class Monomial(NamedTuple):
 class ScalarComplex:
     """Rational-coefficient expansion of a specialized complex over the
     monomial basis, restricted to the homological window that the class
-    membership questions need (degrees -1, 0, 1 for everything here)."""
+    membership questions need (degrees -1, 0, 1 for everything here).
+
+    ``cols[i]`` holds d^i column by column, one column per basis vector
+    of degree i, the form every reduction reads; a degree whose d^i has
+    no rows is absent."""
 
     n: int
     potential: Tuple[Fraction, ...]
     basis: Dict[int, Tuple[Monomial, ...]]
-    mats: Dict[int, Tuple[Tuple[Fraction, ...], ...]]
+    cols: Dict[int, Tuple[Tuple[Fraction, ...], ...]]
 
     def dim(self, i: int) -> int:
         return len(self.basis.get(i, ()))
 
-    def matrix(self, i: int) -> linalg.Matrix:
-        mat = self.mats.get(i)
-        if mat is None:
-            return linalg.zeros(self.dim(i + 1), self.dim(i))
-        return [list(row) for row in mat]
+    @property
+    def mats(self) -> Dict[int, Tuple[Tuple[Fraction, ...], ...]]:
+        """Every d^i row by row: ``mats[i][r][c] == cols[i][c][r]``."""
+        return {i: tuple(zip(*cols)) for i, cols in self.cols.items()}
+
+    def columns(self, i: int) -> Tuple[Tuple[Fraction, ...], ...]:
+        """The columns of d^i; zero columns if it is absent."""
+        if i in self.cols:
+            return self.cols[i]
+        return ((Fraction(0),) * self.dim(i + 1),) * self.dim(i)
 
     def has_standard_potential(self) -> bool:
         return self.potential == standard_potential(self.n)
-
-    def x_action(self) -> linalg.Matrix:
-        """Matrix of multiplication by x on the degree-0 chains."""
-        ctx = specialized_ctx(self.n, self.potential)
-        basis = self.basis.get(0, ())
-        index = {(m.gen, m.a): p for p, m in enumerate(basis)}
-        out = linalg.zeros(len(basis), len(basis))
-        for col, m in enumerate(basis):
-            for exps, coeff in x_power(ctx, m.a + 1).terms:
-                out[index[(m.gen, exps[0])]][col] += coeff
-        return out
 
 
 # The homological degrees the class membership questions read.
@@ -110,33 +109,22 @@ def expand(c: GradedFreeComplex) -> ScalarComplex:
         i: {(m.gen, m.a): p for p, m in enumerate(b)} for i, b in basis.items()
     }
 
-    mats: Dict[int, Tuple[Tuple[Fraction, ...], ...]] = {}
+    entries = sparse_columns(c)
+    cols: Dict[int, Tuple[Tuple[Fraction, ...], ...]] = {}
     for i in degrees:
-        if i + 1 not in basis or not basis[i]:
+        if i + 1 not in basis:
             continue
-        mat = c.diff(i)
-        rows, cols = len(basis[i + 1]), len(basis[i])
-        if rows == 0:
-            continue
-        out = linalg.zeros(rows, cols)
-        for col, m in enumerate(basis[i]):
+        by_col = entries.get(i, {})
+        out = []
+        for m in basis[i]:
+            col = [Fraction(0)] * len(basis[i + 1])
             xa = x_power(c.ctx, m.a)
-            for tg in range(c.rank(i + 1)):
-                e = mat[tg][m.gen]
-                if e.is_zero():
-                    continue
-                prod = e * xa
-                for exps, coeff in prod.terms:
-                    out[index[i + 1][(tg, exps[0])]][col] += coeff
-        mats[i] = tuple(tuple(row) for row in out)
-    return ScalarComplex(n=n, potential=c.ctx.potential, basis=basis, mats=mats)
-
-
-def cohomology_dimension(s: ScalarComplex, i: int) -> int:
-    dim = s.dim(i)
-    rank_out = linalg.rank(s.matrix(i)) if s.dim(i + 1) else 0
-    rank_in = linalg.rank(s.matrix(i - 1)) if s.dim(i - 1) else 0
-    return dim - rank_out - rank_in
+            for tg, e in by_col.get(m.gen, {}).items():
+                for exps, coeff in (e * xa).terms:
+                    col[index[i + 1][(tg, exps[0])]] += coeff
+            out.append(tuple(col))
+        cols[i] = tuple(out)
+    return ScalarComplex(n=n, potential=c.ctx.potential, basis=basis, cols=cols)
 
 
 def gornik_class_fixture(s: ScalarComplex) -> Vector:
@@ -148,48 +136,36 @@ def gornik_class_fixture(s: ScalarComplex) -> Vector:
         i: [p for p, m in enumerate(s.basis.get(i, ())) if m.k == n - 1]
         for i in s.basis
     }
-    d0 = s.matrix(0)
-    dm1 = s.matrix(-1)
+    sub0, sub1 = sub.get(0, []), sub.get(1, [])
 
     # d0 restricted to the subcomplex; entries out of the subcomplex must die
-    sub0 = sub.get(0, [])
-    rows_out = [r for r in range(s.dim(1)) if r not in sub.get(1, [])]
+    rows_out = [r for r in range(s.dim(1)) if r not in sub1]
+    d0 = s.columns(0)
+    d0_sub = []
     for col in sub0:
-        for r in rows_out:
-            if d0[r][col] != 0:
-                raise InternalError("x-top subcomplex is not closed under d")
-    d0_sub = [[d0[r][col] for col in sub0] for r in sub.get(1, [])]
-    dm1_sub = [[dm1[r][col] for col in sub.get(-1, [])] for r in sub0]
+        if any(d0[col][r] for r in rows_out):
+            raise InternalError("x-top subcomplex is not closed under d")
+        d0_sub.append([d0[col][r] for r in sub1])
+    dm1 = s.columns(-1)
+    boundaries = linalg.rref([[dm1[y][p] for p in sub0] for y in sub.get(-1, [])])
 
-    kernel = (
-        linalg.nullspace(d0_sub)
-        if d0_sub
-        else [
-            [Fraction(i == jj) for jj in range(len(sub0))]
-            for i in range(len(sub0))
-        ]
-    )
-    rank_b = linalg.rank(dm1_sub) if dm1_sub and sub.get(-1) else 0
+    kernel = linalg.kernel(d0_sub)
+    rank_b = len(boundaries.pivots)
     if len(kernel) - rank_b != 1:
         raise NondegeneracyError(
             "H^0 of the x-top subcomplex has dimension "
             f"{len(kernel) - rank_b}, expected 1"
         )
-    # representative: kernel vector independent of the sub-coboundaries
-    bmat = [list(col) for col in zip(*dm1_sub)] if rank_b else []
-    rep = None
-    for v in kernel:
-        if linalg.rank(bmat + [v]) > rank_b:
-            rep = v
-            break
+    # representative: the first kernel vector off the sub-coboundaries
+    rep = next((v for v in kernel if boundaries.reduce(dict(v)) is not None), None)
     if rep is None:
         raise NondegeneracyError("x-top cohomology class could not be represented")
 
     psi = [Fraction(0)] * s.dim(0)
-    for p, val in zip(sub0, rep):
-        psi[p] = val
+    for k, val in rep.items():
+        psi[sub0[k]] = val
     # must not be a coboundary in the full complex
-    if s.dim(-1) and linalg.in_column_span(dm1, psi):
+    if dm1 and linalg.rref(dm1).reduce({p: v for p, v in enumerate(psi) if v}) is None:
         raise NondegeneracyError("distinguished class is null-cohomologous")
     lead = next(v for v in psi if v != 0)
     return tuple(v / lead for v in psi)
@@ -213,29 +189,11 @@ def _minimal_feasible_value(
     score = {i: v for v, i in scored}
     order = sorted(score, key=lambda i: (score[i], i))
     order += [i for i in range(s.dim(0)) if i not in score]
-    pos = {i: p for p, i in enumerate(order)}
-    reduced: Dict[int, Dict[int, Fraction]] = {}  # top position -> column
-
-    def reduce(v: Dict[int, Fraction]) -> Optional[int]:
-        """Reduce v in place against the stored columns; a nonzero
-        remainder is stored under its top position, which is returned."""
-        while v:
-            top = max(v)
-            col = reduced.get(top)
-            if col is None:
-                reduced[top] = v
-                return top
-            f = v[top] / col[top]
-            for p, c in col.items():
-                v[p] = v.get(p, 0) - f * c
-                if not v[p]:
-                    del v[p]
-        return None
-
-    dm1 = s.mats.get(-1, ())
-    for y in range(s.dim(-1)):
-        reduce({pos[r]: row[y] for r, row in enumerate(dm1) if row[y]})
-    top = reduce({pos[r]: Fraction(c) for r, c in enumerate(psi) if c})
+    pos = [0] * len(order)
+    for p, i in enumerate(order):
+        pos[i] = p
+    coboundaries = linalg.rref(s.columns(-1), pos)
+    top = coboundaries.reduce({pos[r]: Fraction(c) for r, c in enumerate(psi) if c})
     if top is None:
         return min(score.values())
     if order[top] not in score:
@@ -355,21 +313,6 @@ def invariants_report(
     )
 
 
-def _mat_pow_apply(a: linalg.Matrix, coeffs: Sequence[Fraction]) -> linalg.Matrix:
-    """Evaluate the polynomial with the given coefficients (index = power)
-    at the matrix a."""
-    h = len(a)
-    out = linalg.zeros(h, h)
-    power = [[Fraction(i == jj) for jj in range(h)] for i in range(h)]
-    for c in coeffs:
-        if c:
-            for i in range(h):
-                for jj in range(h):
-                    out[i][jj] += c * power[i][jj]
-        power = linalg.mat_mul(power, a)
-    return out
-
-
 def _check_simple_root(potential: Tuple[Fraction, ...], alpha: Fraction) -> None:
     n = len(potential)
     value = alpha**n + sum(potential[i] * alpha**i for i in range(n))
@@ -385,73 +328,59 @@ def _check_simple_root(potential: Tuple[Fraction, ...], alpha: Fraction) -> None
 def s_general(s: ScalarComplex, alpha: Rational) -> Fraction:
     """Concordance bound from a general monic potential with a simple
     rational root alpha: the renormalized quantum filtration grading of the
-    class generating the alpha-eigenspace of degree-0 cohomology."""
+    class generating the alpha-eigenspace of degree-0 cohomology.
+
+    That class is the image of H^0 under dw(x)/(x - alpha), which acts on
+    it as a projector onto the alpha-eigenspace up to a nonzero scalar."""
     alpha = exact(alpha)
     n = s.n
     _check_simple_root(s.potential, alpha)
 
-    n0 = s.dim(0)
-    d0 = s.matrix(0)
-    dm1 = s.matrix(-1)
-    cocycles = (
-        linalg.nullspace(d0)
-        if s.dim(1)
-        else [[Fraction(i == jj) for jj in range(n0)] for i in range(n0)]
-    )
-    bcols = (
-        [[dm1[r][c] for r in range(n0)] for c in range(s.dim(-1))]
-        if s.dim(-1)
-        else []
-    )
-    reps: List[List[Fraction]] = []
-    span = list(bcols)
-    for z in cocycles:
-        if linalg.rank(span + [z]) > linalg.rank(span):
-            span.append(z)
-            reps.append(z)
-    h = len(reps)
-    if h == 0:
+    # reps: cocycles independent modulo the coboundaries, which with them
+    # span every cocycle
+    coboundaries = s.columns(-1)
+    cocycles = linalg.rref(coboundaries)
+    reps = [z for z in linalg.kernel(s.columns(0)) if cocycles.add(dict(z)) is not None]
+    if not reps:
         raise NondegeneracyError("degree-0 cohomology vanishes")
 
-    xmat = s.x_action()
-
-    # induced action on H^0: express x . rep in the basis (reps mod coboundaries)
-    solve_cols = [list(col) for col in zip(*(reps + bcols))] if (reps or bcols) else []
-    amat = linalg.zeros(h, h)
-    for c, rep in enumerate(reps):
-        w = linalg.mat_vec(xmat, rep)
-        if s.dim(1) and any(v != 0 for v in linalg.mat_vec(d0, w)):
-            raise InternalError("x-action does not preserve cocycles")
-        coords = linalg.solve(solve_cols, w)
-        if coords is None:
-            raise InternalError("x-action does not descend to cohomology")
-        for r in range(h):
-            amat[r][c] = coords[r]
-
-    # projector onto the alpha-eigenspace: dw(x)/(x - alpha) evaluated at
-    # the induced action; synthetic division of the monic potential
+    # dw(x)/(x - alpha) by synthetic division of the monic potential
     full = list(s.potential) + [Fraction(1)]
     quot = [Fraction(0)] * n
     carry = Fraction(0)
     for i in range(n, 0, -1):
         carry = full[i] + carry * alpha
         quot[i - 1] = carry
-    proj = _mat_pow_apply(amat, quot)
-    if linalg.rank(proj) != 1:
-        raise NondegeneracyError(
-            f"alpha-eigenspace has dimension {linalg.rank(proj)}, expected 1"
-        )
-    wcol = next(
-        [proj[r][c] for r in range(h)]
-        for c in range(h)
-        if any(proj[r][c] != 0 for r in range(h))
-    )
-    psi = [Fraction(0)] * n0
-    for coeff, rep in zip(wcol, reps):
-        if coeff:
-            for r in range(n0):
-                psi[r] += coeff * rep[r]
+    ctx = specialized_ctx(n, s.potential)
+    q = Poly.from_dict(ctx, {(i,): c for i, c in enumerate(quot)})
+    basis = s.basis[0]
+    index = {(m.gen, m.a): p for p, m in enumerate(basis)}
 
-    scored = [(Fraction(m.j), i) for i, m in enumerate(s.basis[0])]
-    gr = _minimal_feasible_value(s, psi, scored)
+    def project(v: linalg.Vector) -> linalg.Vector:
+        """dw(x)/(x - alpha) times the degree-0 chain v."""
+        out: linalg.Vector = {}
+        for p, c in v.items():
+            m = basis[p]
+            for exps, coeff in (q * x_power(ctx, m.a)).terms:
+                r = index[(m.gen, exps[0])]
+                out[r] = out.get(r, 0) + c * coeff
+        return {r: c for r, c in out.items() if c}
+
+    # the image classes; their rank is the dimension of the eigenspace
+    image = linalg.rref(coboundaries)
+    psi = None
+    dim = 0
+    for rep in reps:
+        w = project(rep)
+        if cocycles.reduce(dict(w)) is not None:
+            raise InternalError("dw(x)/(x - alpha) does not preserve cocycles")
+        if image.add(dict(w)) is not None:
+            dim += 1
+            if psi is None:
+                psi = w
+    if dim != 1:
+        raise NondegeneracyError(f"alpha-eigenspace has dimension {dim}, expected 1")
+
+    scored = [(Fraction(m.j), i) for i, m in enumerate(basis)]
+    gr = _minimal_feasible_value(s, [psi.get(p, 0) for p in range(len(basis))], scored)
     return Fraction(gr - n + 1, 2 * (n - 1))

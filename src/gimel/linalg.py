@@ -1,111 +1,85 @@
-"""Dense exact linear algebra over Q, on lists of Fraction rows.
+"""The one exact reduction over Q: vectors reduced to distinct top positions.
 
-The complexes this package meets are small (a few hundred columns at most),
-so plain row reduction with exact rationals is both fast enough and free of
-any numerical questions.
+A vector is a dict from position to nonzero ``Fraction``; its top is its
+highest position.  Vectors are added one at a time, each reduced against
+the stored ones until its top is a position no stored vector has.  Rank,
+span membership, the lowest top a vector can be reduced to, and the
+dependencies among a list of vectors all come from that one loop.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
-from typing import List, Optional, Sequence, Tuple
+from typing import Dict, List, Optional, Sequence
 
-Matrix = List[List[Fraction]]
-Vector = List[Fraction]
-
-
-def zeros(rows: int, cols: int) -> Matrix:
-    return [[Fraction(0)] * cols for _ in range(rows)]
+Vector = Dict[int, Fraction]
 
 
-def mat_mul(a: Matrix, b: Matrix) -> Matrix:
-    if not a or not b:
-        return zeros(len(a), len(b[0]) if b else 0)
-    rows, inner, cols = len(a), len(b), len(b[0])
-    out = zeros(rows, cols)
-    for i in range(rows):
-        ai = a[i]
-        oi = out[i]
-        for k in range(inner):
-            c = ai[k]
-            if c:
-                bk = b[k]
-                for j in range(cols):
-                    if bk[j]:
-                        oi[j] += c * bk[j]
-    return out
+class Echelon:
+    """Stored vectors with pairwise distinct tops: ``pivots[p]`` is the one
+    whose top is p.  ``len(pivots)`` is the rank of what was added."""
 
+    def __init__(self) -> None:
+        self.pivots: Dict[int, Vector] = {}
 
-def mat_vec(a: Matrix, v: Sequence[Fraction]) -> Vector:
-    return [sum((row[j] * v[j] for j in range(len(v)) if v[j]), Fraction(0)) for row in a]
-
-
-def rref(a: Matrix) -> Tuple[Matrix, List[int]]:
-    """Reduced row echelon form (copy) plus pivot column indices."""
-    m = [row[:] for row in a]
-    rows = len(m)
-    cols = len(m[0]) if rows else 0
-    pivots: List[int] = []
-    r = 0
-    for c in range(cols):
-        pr = next((i for i in range(r, rows) if m[i][c] != 0), None)
-        if pr is None:
-            continue
-        m[r], m[pr] = m[pr], m[r]
-        inv = m[r][c]
-        m[r] = [v / inv for v in m[r]]
-        for i in range(rows):
-            if i != r and m[i][c] != 0:
-                f = m[i][c]
-                m[i] = [vi - f * vr for vi, vr in zip(m[i], m[r])]
-        pivots.append(c)
-        r += 1
-        if r == rows:
-            break
-    return m, pivots
-
-
-def rank(a: Matrix) -> int:
-    if not a or not a[0]:
-        return 0
-    return len(rref(a)[1])
-
-
-def solve(a: Matrix, b: Sequence[Fraction]) -> Optional[Vector]:
-    """One solution of a x = b, or None if inconsistent."""
-    rows = len(a)
-    cols = len(a[0]) if rows else 0
-    if rows == 0:
-        return [Fraction(0)] * cols if all(v == 0 for v in b) else None
-    aug = [a[i][:] + [Fraction(b[i])] for i in range(rows)]
-    m, pivots = rref(aug)
-    if cols in pivots:
+    def reduce(self, v: Vector) -> Optional[int]:
+        """Reduce v in place until its top is no stored vector's top, and
+        return that top; None if v reduces to zero, that is, lies in the
+        span.  The top returned is the lowest top of any vector that
+        differs from v by an element of the span."""
+        pivots = self.pivots
+        while v:
+            top = max(v)
+            col = pivots.get(top)
+            if col is None:
+                return top
+            f = v[top] / col[top]
+            for p, c in col.items():
+                x = v.get(p, 0) - f * c
+                if x:
+                    v[p] = x
+                else:
+                    del v[p]
         return None
-    x = [Fraction(0)] * cols
-    for r, c in enumerate(pivots):
-        x[c] = m[r][cols]
-    return x
+
+    def add(self, v: Vector) -> Optional[int]:
+        """Reduce v and store what is left under its top, which is
+        returned; None if v was already in the span."""
+        top = self.reduce(v)
+        if top is not None:
+            self.pivots[top] = v
+        return top
 
 
-def nullspace(a: Matrix) -> List[Vector]:
-    """Basis of the kernel of a."""
-    rows = len(a)
-    cols = len(a[0]) if rows else 0
-    if cols == 0:
-        return []
-    if rows == 0:
-        return [[Fraction(i == j) for j in range(cols)] for i in range(cols)]
-    m, pivots = rref(a)
-    free = [c for c in range(cols) if c not in pivots]
-    basis = []
-    for f in free:
-        v = [Fraction(0)] * cols
-        v[f] = Fraction(1)
-        for r, c in enumerate(pivots):
-            v[c] = -m[r][f]
-        basis.append(v)
-    return basis
+def rref(rows: Sequence[Sequence[Fraction]], order: Optional[Sequence[int]] = None) -> Echelon:
+    """The rows, added in index order to a new Echelon.  Entry c of a row
+    sits at position ``order[c]`` (default c), so an order decides which
+    coordinates a reduction clears first: the highest positions."""
+    e = Echelon()
+    for row in rows:
+        if order is None:
+            e.add({c: x for c, x in enumerate(row) if x})
+        else:
+            e.add({order[c]: x for c, x in enumerate(row) if x})
+    return e
 
 
-def in_column_span(a: Matrix, b: Sequence[Fraction]) -> bool:
-    return solve(a, b) is not None
+def kernel(columns: Sequence[Sequence[Fraction]]) -> List[Vector]:
+    """The dependencies found when ``columns`` are added in index order:
+    for each column f that is a combination of earlier ones, the vector v
+    (keyed by column index) with v[f] = 1 and sum v[c] * column c = 0.
+
+    These are the reduced-row-echelon free-column kernel vectors of the
+    matrix with these columns.  Each column carries a tag, a coordinate
+    below every entry position (-len + f for column f), which records the
+    combination of columns a stored vector is; a column whose entries
+    reduce to zero leaves only its dependency among the tags."""
+    n = len(columns)
+    e = Echelon()
+    deps = []
+    for f, column in enumerate(columns):
+        v = {c: x for c, x in enumerate(column) if x}
+        v[f - n] = Fraction(1)
+        if e.add(v) < 0:
+            deps.append({p + n: x for p, x in v.items()})
+    return deps

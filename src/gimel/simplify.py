@@ -12,12 +12,11 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Dict, Iterable, List, Optional, Tuple
+from typing import Dict, List, Optional, Tuple
 
-from .complexes import GradedFreeComplex, euler, evaluate, sparse_columns
+from .complexes import GradedFreeComplex, euler, sparse_columns
 from .errors import DecompositionError
-from .filtration import Monomial, ScalarComplex, _check_simple_root
-from .ring import EQUIVARIANT, Poly, Rational, exact, zero
+from .ring import Poly, zero
 
 
 def _unit_value(p: Poly) -> Optional[Fraction]:
@@ -182,53 +181,3 @@ def extract_sn(dec: Decomposition) -> GradedFreeComplex:
     if any(euler(s) != 0 for s in dec.summands if s is not odd[0]):
         raise DecompositionError("a non-distinguished summand has nonzero Euler characteristic")
     return odd[0]
-
-
-def reduced_complex(
-    s: GradedFreeComplex,
-    potential: Iterable[Rational],
-    alpha: Rational,
-):
-    """Image subcomplex of multiplication by dw(x)/(x - alpha).
-
-    Since x acts as alpha on that image, each free generator contributes a
-    single basis vector p_alpha * g, and the differential is the original
-    one with x evaluated at alpha.  The quantum grading is shifted by 1 - n
-    on top of the multiplication's degree 2(n - 1), leaving each basis
-    vector at quantum degree equal to its generator's q-label.
-
-    Returns a ScalarComplex (the image is a complex of Q-vector spaces, not
-    of free modules over the ring context).
-    """
-    pot = tuple(exact(v) for v in potential)
-    alpha = exact(alpha)
-    _check_simple_root(pot, alpha)
-    if s.ctx.kind == EQUIVARIANT:
-        s = evaluate(s, pot)
-    n = s.ctx.n
-
-    basis = {}
-    for i in s.degrees():
-        basis[i] = [
-            Monomial(g, 0, label + (n - 1) + (1 - n), 0)
-            for g, label in enumerate(s.labels(i))
-        ]
-    mats = {}
-    for i, _ in s.diffs:
-        mat = s.diff(i)
-        mats[i] = [
-            [
-                sum(
-                    (coeff * alpha ** exps[0] for exps, coeff in e.terms),
-                    Fraction(0),
-                )
-                for e in row
-            ]
-            for row in mat
-        ]
-    return ScalarComplex(
-        n=n,
-        potential=pot,
-        basis={i: tuple(b) for i, b in basis.items()},
-        mats={i: tuple(tuple(row) for row in m) for i, m in mats.items()},
-    )

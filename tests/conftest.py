@@ -9,10 +9,20 @@ from typing import Dict, List, Tuple
 
 import pytest
 
-from gimel.complexes import GradedFreeComplex
-from gimel.errors import ContextMismatchError
-from gimel.filtration import ScalarComplex
-from gimel.ring import Poly, zero
+from gimel.complexes import ComplexReport, GradedFreeComplex, euler, evaluate
+from gimel.cube import Diagram, build_cube, resolve
+from gimel.errors import ContextMismatchError, InternalError, NondegeneracyError
+from gimel.filtration import ScalarComplex, _check_simple_root, expand
+from gimel.ring import (
+    EQUIVARIANT,
+    Poly,
+    exact,
+    quantum_degree,
+    specialized_ctx,
+    standard_potential,
+    x_power,
+    zero,
+)
 from gimel.simplify import Decomposition, _unit_value
 
 TREFOIL_PD = "PD[X[1,4,2,5],X[3,6,4,1],X[5,2,6,3]]"
@@ -80,6 +90,58 @@ def _nullspace(m, cols: int):
     return basis
 
 
+def _solve(a, b, cols: int):
+    """One solution x of a x = b, where a is a list of rows of length
+    ``cols``, or None if there is none."""
+    if not a:
+        return [Fraction(0)] * cols if all(v == 0 for v in b) else None
+    red, pivots = _rref([list(row) + [Fraction(v)] for row, v in zip(a, b)])
+    if cols in pivots:
+        return None
+    x = [Fraction(0)] * cols
+    for row, c in zip(red, pivots):
+        x[c] = row[cols]
+    return x
+
+
+def _mat_vec(a, v):
+    return [sum((row[j] * v[j] for j in range(len(v)) if v[j]), Fraction(0)) for row in a]
+
+
+def _mat_mul(a, b, cols: int):
+    """a times b, where b has ``cols`` columns."""
+    return [
+        [sum((ai[k] * b[k][j] for k in range(len(b)) if ai[k]), Fraction(0)) for j in range(cols)]
+        for ai in a
+    ]
+
+
+def dense_matrix(s: ScalarComplex, i: int):
+    """d^i of s as a list of rows; the zero matrix if s stores none."""
+    mat = s.mats.get(i)
+    if mat is None:
+        return [[Fraction(0)] * s.dim(i) for _ in range(s.dim(i + 1))]
+    return [list(row) for row in mat]
+
+
+def x_action(s: ScalarComplex):
+    """Matrix of multiplication by x on the degree-0 chains."""
+    ctx = specialized_ctx(s.n, s.potential)
+    basis = s.basis.get(0, ())
+    index = {(m.gen, m.a): p for p, m in enumerate(basis)}
+    out = [[Fraction(0)] * len(basis) for _ in basis]
+    for col, m in enumerate(basis):
+        for exps, coeff in x_power(ctx, m.a + 1).terms:
+            out[index[(m.gen, exps[0])]][col] += coeff
+    return out
+
+
+def cohomology_dimension(s: ScalarComplex, i: int) -> int:
+    rank_out = _rank(dense_matrix(s, i)) if s.dim(i + 1) else 0
+    rank_in = _rank(dense_matrix(s, i - 1)) if s.dim(i - 1) else 0
+    return s.dim(i) - rank_out - rank_in
+
+
 def class_membership_oracle(s: ScalarComplex, psi, admissible) -> bool:
     """Rank-based membership test, independent of the filtration module:
     [psi] lies in the image of H^0(prefix) iff appending psi to the span of
@@ -87,10 +149,10 @@ def class_membership_oracle(s: ScalarComplex, psi, admissible) -> bool:
     rank."""
     adm = sorted(set(admissible))
     n0 = s.dim(0)
-    d0 = s.matrix(0)
+    d0 = dense_matrix(s, 0)
     span = []
     if s.dim(-1):
-        dm1 = s.matrix(-1)
+        dm1 = dense_matrix(s, -1)
         span.extend([dm1[r][c] for r in range(n0)] for c in range(s.dim(-1)))
     if s.dim(1):
         sub = [[d0[r][c] for c in adm] for r in range(s.dim(1))]
@@ -133,6 +195,209 @@ def r_oracle(s: ScalarComplex, psi) -> Fraction:
         if class_membership_oracle(s, psi, [i for j, i in top if j <= v]):
             return Fraction(v)
     raise AssertionError("class not carried by the x-top monomials")
+
+
+def s_general_reference(s: ScalarComplex, alpha) -> Fraction:
+    """The dense ``gimel.filtration.s_general`` that the sparse reduction
+    replaced, on this module's own elimination and oracle, kept as the
+    older path it is checked against.
+
+    Concordance bound from a general monic potential with a simple
+    rational root alpha: the renormalized quantum filtration grading of the
+    class generating the alpha-eigenspace of degree-0 cohomology."""
+    alpha = exact(alpha)
+    n = s.n
+    _check_simple_root(s.potential, alpha)
+
+    n0 = s.dim(0)
+    d0 = dense_matrix(s, 0)
+    dm1 = dense_matrix(s, -1)
+    cocycles = _nullspace(d0, n0)
+    bcols = [[dm1[r][c] for r in range(n0)] for c in range(s.dim(-1))]
+    reps = []
+    span = list(bcols)
+    for z in cocycles:
+        if _rank(span + [z]) > _rank(span):
+            span.append(z)
+            reps.append(z)
+    h = len(reps)
+    if h == 0:
+        raise NondegeneracyError("degree-0 cohomology vanishes")
+
+    xmat = x_action(s)
+
+    # induced action on H^0: express x . rep in the basis (reps mod coboundaries)
+    solve_cols = [list(col) for col in zip(*(reps + bcols))]
+    amat = [[Fraction(0)] * h for _ in range(h)]
+    for c, rep in enumerate(reps):
+        w = _mat_vec(xmat, rep)
+        if s.dim(1) and any(v != 0 for v in _mat_vec(d0, w)):
+            raise InternalError("x-action does not preserve cocycles")
+        coords = _solve(solve_cols, w, len(reps + bcols))
+        if coords is None:
+            raise InternalError("x-action does not descend to cohomology")
+        for r in range(h):
+            amat[r][c] = coords[r]
+
+    # projector onto the alpha-eigenspace: dw(x)/(x - alpha) evaluated at
+    # the induced action; synthetic division of the monic potential
+    full = list(s.potential) + [Fraction(1)]
+    quot = [Fraction(0)] * n
+    carry = Fraction(0)
+    for i in range(n, 0, -1):
+        carry = full[i] + carry * alpha
+        quot[i - 1] = carry
+    proj = [[Fraction(0)] * h for _ in range(h)]
+    power = [[Fraction(i == j) for j in range(h)] for i in range(h)]
+    for c in quot:
+        proj = [[p + c * q for p, q in zip(prow, qrow)] for prow, qrow in zip(proj, power)]
+        power = _mat_mul(power, amat, h)
+    if _rank(proj) != 1:
+        raise NondegeneracyError(
+            f"alpha-eigenspace has dimension {_rank(proj)}, expected 1"
+        )
+    wcol = next(
+        [proj[r][c] for r in range(h)]
+        for c in range(h)
+        if any(proj[r][c] != 0 for r in range(h))
+    )
+    psi = [Fraction(0)] * n0
+    for coeff, rep in zip(wcol, reps):
+        for r in range(n0):
+            psi[r] += coeff * rep[r]
+    return Fraction(u_oracle(s, psi) - n + 1, 2 * (n - 1))
+
+
+def oriented_vertex(d: Diagram) -> Tuple[int, ...]:
+    """The orientation-preserving smoothing: 0 at positive crossings, 1 at
+    negative ones."""
+    return tuple(0 if s > 0 else 1 for s in d.signs)
+
+
+def gornik_cocycle_sl2(d: Diagram) -> Tuple[ScalarComplex, Tuple[Fraction, ...]]:
+    """The distinguished degree-0 cocycle of the specialized (x^2 - x) cube:
+    every circle of the oriented resolution labeled x.  An oracle for the
+    pipeline's class: it reads the full cube, never its simplification.
+
+    Returns the expanded scalar complex of the full cube together with the
+    cocycle vector in its degree-0 basis.  Checks that the vector is a
+    cocycle, not a coboundary, and a fixed point of the x-action; any
+    failure is a convention bug, reported as InternalError.
+    """
+    cube = build_cube(d)
+    s = expand(evaluate(cube.complex, standard_potential(2)))
+
+    r0 = oriented_vertex(d)
+    zero_gens = cube.generators.get(0, [])
+    st = resolve(d, r0)
+    k = len(st.circles) - 1
+    pos_of = {}
+    for g, (r, eps) in enumerate(zero_gens):
+        if r == r0:
+            pos_of[eps] = next(
+                p
+                for p, mono in enumerate(s.basis[0])
+                if mono.gen == g and mono.a == 1
+            )
+    d0 = dense_matrix(s, 0)
+    dm1 = dense_matrix(s, -1)
+    bcols = [[row[c] for row in dm1] for c in range(s.dim(-1))]
+
+    # Each circle carries a root idempotent of x^2 - x: the element y
+    # (root 1) or y - 1 (root 0); the basepoint circle carries x.  The
+    # cocycle condition forces adjacent circles at merge edges to carry
+    # different roots; search the assignments for the cocycle.
+    psi = None
+    for labels in itertools.product((1, 0), repeat=k):
+        cand = [Fraction(0)] * s.dim(0)
+        for eps in itertools.product((0, 1), repeat=k):
+            coeff = Fraction(1)
+            for lab, e in zip(labels, eps):
+                if lab == 1 and e == 0:
+                    coeff = Fraction(0)
+                    break
+                if lab == 0 and e == 0:
+                    coeff = -coeff
+            if coeff:
+                cand[pos_of[eps]] = coeff
+        if s.dim(1) and any(v != 0 for v in _mat_vec(d0, cand)):
+            continue
+        if bcols and _rank(bcols + [cand]) == _rank(bcols):
+            continue
+        psi = cand
+        break
+    if psi is None:
+        raise InternalError(
+            "no oriented-resolution root labeling is a noncobounding cocycle"
+        )
+    if _mat_vec(x_action(s), psi) != psi:
+        raise InternalError("oriented-resolution class is not an x-eigenvector")
+    return s, tuple(psi)
+
+
+def validate_reference(c: GradedFreeComplex) -> ComplexReport:
+    """The dense ``gimel.complexes.validate`` that the sparse one replaced,
+    kept as the older path it is checked against.
+
+    Check d^2 = 0 and the grading condition on every entry.
+
+    Equivariant entries must be homogeneous of degree q_src - q_tgt;
+    specialized entries must have filtration level <= q_src - q_tgt.
+    Failures are reported, not raised.
+    """
+    failures: List[str] = []
+    n = c.ctx.n
+
+    for i in c.degrees():
+        src = c.labels(i)
+        tgt = c.labels(i + 1)
+        if not tgt:
+            continue
+        mat = c.diff(i)
+        for col, s in enumerate(src):
+            for row, t in enumerate(tgt):
+                e = mat[row][col]
+                if e.is_zero():
+                    continue
+                want = (s + 1 - n) - (t + 1 - n)
+                got = quantum_degree(e)
+                if c.ctx.kind == EQUIVARIANT:
+                    if got != want:
+                        failures.append(
+                            f"degree {i} entry ({row},{col}): quantum degree "
+                            f"{got}, expected {want}"
+                        )
+                        break
+                else:
+                    if got > want:
+                        failures.append(
+                            f"degree {i} entry ({row},{col}): filtration level "
+                            f"{got} exceeds {want}"
+                        )
+                        break
+            else:
+                continue
+            break
+
+    for i in c.degrees():
+        if c.rank(i + 1) == 0 or c.rank(i + 2) == 0:
+            continue
+        d0 = c.diff(i)
+        d1 = c.diff(i + 1)
+        for row in range(c.rank(i + 2)):
+            for col in range(c.rank(i)):
+                acc = zero(c.ctx)
+                for k in range(c.rank(i + 1)):
+                    acc = acc + d1[row][k] * d0[k][col]
+                if not acc.is_zero():
+                    failures.append(f"d^2 != 0 at degree {i}, entry ({row},{col})")
+                    break
+            else:
+                continue
+            break
+
+    ranks = tuple((i, c.rank(i)) for i in c.degrees())
+    return ComplexReport(ranks, euler(c), not failures, tuple(failures))
 
 
 def isomorphic_up_to_scaling(c1: GradedFreeComplex, c2: GradedFreeComplex) -> bool:

@@ -14,6 +14,7 @@ from conftest import (
     TREFOIL_PD,
     UNKNOT_PD,
     gamma_oracle,
+    gornik_cocycle_sl2,
     u_oracle,
 )
 
@@ -21,7 +22,6 @@ from gimel.complexes import dual, evaluate, tensor, validate
 from gimel.cube import (
     build_equivariant_sl2,
     format_pd,
-    gornik_cocycle_sl2,
     mirror,
     parse_pd,
 )

@@ -1,5 +1,5 @@
 import pytest
-from conftest import FIG8_PD, TREFOIL_PD, tensor_reference
+from conftest import FIG8_PD, TREFOIL_PD, tensor_reference, validate_reference
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -25,7 +25,14 @@ from gimel.fixtures import (
     s3_p976_fixture,
     unknot_fixture,
 )
-from gimel.ring import Poly, equivariant_ctx, parse_poly, standard_potential, zero
+from gimel.ring import (
+    Poly,
+    equivariant_ctx,
+    parse_poly,
+    specialized_ctx,
+    standard_potential,
+    zero,
+)
 
 
 def test_validate_fixtures():
@@ -59,6 +66,40 @@ def test_validate_catches_inhomogeneous_entry():
     )
     rep = validate(c)
     assert not rep.ok
+
+
+@st.composite
+def _graded_complexes(draw):
+    """Small complexes with random labels and entries, over either ring
+    kind: most fail the grading check, d^2 = 0, or both."""
+    ctx = draw(st.sampled_from([equivariant_ctx(2), specialized_ctx(2, standard_potential(2))]))
+    pool = [zero(ctx)] * 2 + [
+        parse_poly(t, ctx) for t in ("1", "-1", "x", "x - 1", "a1", "x^2 + a1*x")
+    ]
+    ranks = draw(st.lists(st.integers(0, 3), min_size=2, max_size=4))
+    start = draw(st.integers(-2, 1))
+    labels = st.integers(-2, 2).map(lambda k: 2 * k)
+    mods = {start + k: draw(st.lists(labels, min_size=r, max_size=r)) for k, r in enumerate(ranks)}
+    diffs = {
+        i: [
+            [draw(st.sampled_from(pool)) for _ in range(len(mods[i]))]
+            for _ in range(len(mods[i + 1]))
+        ]
+        for i in mods
+        if mods[i] and mods.get(i + 1)
+    }
+    return GradedFreeComplex.build(ctx, mods, diffs)
+
+
+@settings(max_examples=80, deadline=None)
+@given(_graded_complexes())
+def test_validate_matches_dense_reference(c):
+    assert validate(c) == validate_reference(c)
+
+
+def test_validate_tensor_of_two_cubes():
+    c = build_equivariant_sl2(parse_pd(FIG8_PD))
+    assert validate(tensor(c, c)).ok
 
 
 def test_build_shape_check():

@@ -1,13 +1,19 @@
 import pytest
-from conftest import FIG8_PD, KINK_NEG_PD, KINK_POS_PD, TREFOIL_PD, UNKNOT_PD
+from conftest import (
+    FIG8_PD,
+    KINK_NEG_PD,
+    KINK_POS_PD,
+    TREFOIL_PD,
+    UNKNOT_PD,
+    gornik_cocycle_sl2,
+    oriented_vertex,
+)
 
 from gimel.complexes import validate
 from gimel.cube import (
     build_equivariant_sl2,
     format_pd,
-    gornik_cocycle_sl2,
     mirror,
-    oriented_vertex,
     parse_pd,
     resolve,
 )

@@ -2,15 +2,22 @@ import itertools
 from fractions import Fraction as F
 
 import pytest
-from conftest import FIG8_PD, TREFOIL_PD, gamma_oracle, r_oracle
+from conftest import (
+    FIG8_PD,
+    TREFOIL_PD,
+    cohomology_dimension,
+    gamma_oracle,
+    gornik_cocycle_sl2,
+    r_oracle,
+    s_general_reference,
+)
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from gimel.complexes import evaluate, tensor
-from gimel.cube import gornik_cocycle_sl2, mirror, parse_pd
+from gimel.cube import build_equivariant_sl2, mirror, parse_pd
 from gimel.errors import InternalError, MalformedInputError
 from gimel.filtration import (
-    cohomology_dimension,
     expand,
     gamma_at,
     gamma_sweep,
@@ -25,6 +32,7 @@ from gimel.fixtures import (
     s3_p976_fixture,
     unknot_fixture,
 )
+from gimel.pipeline import distinguished_summand
 from gimel.pl import PiecewiseLinear
 from gimel.ring import standard_potential
 
@@ -260,6 +268,45 @@ def test_s_general_other_potentials():
     # x^3 - x on the unknot
     s = expand(evaluate(unknot_fixture(3), (F(0), F(-1), F(0))))
     assert s_general(s, 1) == 0
+
+
+def _summand(d):
+    return lambda: distinguished_summand(build_equivariant_sl2(d))
+
+
+_KNOTS = (
+    ("3_1", parse_pd(TREFOIL_PD)),
+    ("m3_1", mirror(parse_pd(TREFOIL_PD))),
+    ("4_1", parse_pd(FIG8_PD)),
+)
+# (complex, potential as the coefficients of x^0 .. x^{n-1}, roots)
+S_GENERAL_CASES = {
+    "P754 x P976, x^3 - x^2": (
+        lambda: tensor(s3_p754_fixture(), s3_p976_fixture()), standard_potential(3), [1]
+    ),
+    "P754 x P976, x^3 - x": (
+        lambda: tensor(s3_p754_fixture(), s3_p976_fixture()), (0, -1, 0), [1, -1]
+    ),
+    **{
+        f"p2m37 n={n}": (lambda n=n: pretzel_2m37_fixture(n), standard_potential(n), [1])
+        for n in range(3, 7)
+    },
+    "unknot, x^2 - 1": (lambda: unknot_fixture(2), (-1, 0), [1, -1]),
+    **{
+        f"{name}, x^2 - x": (_summand(d), (0, -1), [0, 1]) for name, d in _KNOTS
+    },
+    **{
+        f"{name}, x^2 - 1": (_summand(d), (-1, 0), [1, -1]) for name, d in _KNOTS
+    },
+}
+
+
+@pytest.mark.parametrize("name", sorted(S_GENERAL_CASES))
+def test_s_general_matches_dense_reference(name):
+    make, potential, roots = S_GENERAL_CASES[name]
+    s = expand(evaluate(make(), potential))
+    for alpha in roots:
+        assert s_general(s, alpha) == s_general_reference(s, alpha), alpha
 
 
 def test_s_general_rejects_bad_root():

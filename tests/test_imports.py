@@ -1,4 +1,5 @@
-"""Every module-level import in the package and its tests is used.
+"""Every module-level import in the package and its tests is used, and the
+test oracles import nothing from the package's linear algebra.
 
 The check reads each file's syntax tree: a name bound by a top-level
 ``import`` or ``from ... import`` must occur somewhere else in the file,
@@ -43,3 +44,29 @@ def test_scan_finds_an_unused_import():
 @pytest.mark.parametrize("path", FILES, ids=lambda p: f"{p.parent.name}/{p.name}")
 def test_no_unused_module_imports(path):
     assert unused_imports(path.read_text(encoding="utf-8")) == []
+
+
+def linalg_imports(source: str):
+    """Lines of the import statements that reach ``gimel.linalg``."""
+    found = []
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, ast.Import):
+            names = [alias.name for alias in node.names]
+        elif isinstance(node, ast.ImportFrom):
+            module = node.module or ""
+            names = [f"{module}.{alias.name}" for alias in node.names] + [module]
+        else:
+            continue
+        if any(n == "gimel.linalg" or n.startswith("gimel.linalg.") for n in names):
+            found.append(node.lineno)
+    return found
+
+
+def test_linalg_import_scan():
+    src = "import gimel.linalg\nfrom gimel import linalg\nfrom gimel.linalg import rref\nfrom gimel import ring\n"
+    assert linalg_imports(src) == [1, 2, 3]
+
+
+def test_oracles_share_no_elimination_with_the_package():
+    """The oracles in conftest.py eliminate with their own code."""
+    assert linalg_imports((ROOT / "tests" / "conftest.py").read_text(encoding="utf-8")) == []

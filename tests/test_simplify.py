@@ -21,8 +21,7 @@ import gimel
 from gimel.cli import fixture_from_dict
 from gimel.complexes import GradedFreeComplex, block_sum, euler, tensor, validate
 from gimel.cube import build_equivariant_sl2, mirror, parse_pd
-from gimel.errors import DecompositionError, InvalidRootError
-from gimel.filtration import cohomology_dimension
+from gimel.errors import DecompositionError
 from gimel.pipeline import compute_report, specialize_for_sweep
 from gimel.fixtures import (
     acyclic_pair,
@@ -34,7 +33,6 @@ from gimel.ring import equivariant_ctx, parse_poly, specialized_ctx, standard_po
 from gimel.simplify import (
     extract_sn,
     gauss_simplify,
-    reduced_complex,
     split_components,
 )
 
@@ -202,38 +200,6 @@ def test_planted_acyclic_recovery():
             )
         sn = extract_sn(split_components(gauss_simplify(padded)))
         assert isomorphic_up_to_scaling(sn, base)
-
-
-def test_reduced_complex_dimensions_and_cohomology():
-    ab = s3_p754_fixture()
-    rc = reduced_complex(ab, standard_potential(3), 1)
-    assert {i: rc.dim(i) for i in rc.basis} == {-1: 1, 0: 2}
-    assert cohomology_dimension(rc, 0) == 1
-    # quantum tags equal the generators' q-labels
-    assert [m.j for m in rc.basis[0]] == [0, 0]
-    assert [m.j for m in rc.basis[-1]] == [4]
-
-
-def test_reduced_complex_unknot():
-    for n in (2, 4):
-        rc = reduced_complex(unknot_fixture(n), standard_potential(n), 1)
-        assert rc.dim(0) == 1 and cohomology_dimension(rc, 0) == 1
-
-
-def test_reduced_complex_rejects_bad_root():
-    c = unknot_fixture(3)
-    with pytest.raises(InvalidRootError):
-        reduced_complex(c, standard_potential(3), 2)  # not a root
-    with pytest.raises(InvalidRootError):
-        reduced_complex(c, standard_potential(3), 0)  # multiple root
-
-
-def test_reduced_complex_rejects_floats():
-    c = unknot_fixture(3)
-    with pytest.raises(TypeError):
-        reduced_complex(c, [0.0, 0.0, -1.0], 1)
-    with pytest.raises(TypeError):
-        reduced_complex(c, standard_potential(3), 1.0)
 
 
 def test_gauss_drops_a_fill_in_product_that_vanishes():
