@@ -20,7 +20,7 @@ from typing import Dict, List, Optional, Tuple
 import click
 
 from . import __version__, complexes, pipeline, verify
-from .complexes import GradedFreeComplex, dual, tensor, validate
+from .complexes import GradedFreeComplex, dense_rows, dual, tensor, validate
 from .errors import (
     DecompositionError,
     DegreeMismatchError,
@@ -91,8 +91,8 @@ def fixture_to_dict(c: GradedFreeComplex, name: str = "") -> dict:
         "kind": c.ctx.kind,
         "modules": {str(i): list(labs) for i, labs in c.modules},
         "differentials": {
-            str(i): [[format_poly(e) for e in row] for row in mat]
-            for i, mat in c.diffs
+            str(i): [[format_poly(e) for e in row] for row in dense_rows(c, i)]
+            for i in c.cols
         },
     }
     if c.ctx.kind == SPECIALIZED:
@@ -145,7 +145,7 @@ def fixture_from_dict(d: dict) -> GradedFreeComplex:
                 f"differential {key} must be a list of rows of strings"
             )
         diffs[deg] = [[parse_poly(e, ctx) for e in row] for row in mat]
-    return GradedFreeComplex.build(ctx, modules, diffs)
+    return GradedFreeComplex.from_rows(ctx, modules, diffs)
 
 
 def _dump(obj) -> str:

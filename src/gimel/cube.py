@@ -15,17 +15,17 @@ import re
 from dataclasses import dataclass
 from typing import Dict, FrozenSet, List, Sequence, Tuple
 
-from .complexes import GradedFreeComplex, assign_once
+from .complexes import Columns, GradedFreeComplex, assign_once
 from .errors import InternalError, MalformedInputError
-from .ring import Poly, constant, equivariant_ctx, zero
+from .ring import Poly, constant, equivariant_ctx
 
 Crossing = Tuple[int, int, int, int]
 
-# The cube has 2^m vertices and dense differentials: T(2,9) already needs
-# 9,843 generators and about 17 million matrix slots, and the slot count
-# grows about 74-fold from 7 to 9 crossings.  Its `compute --pd` peaks at
-# 284 MB resident (CPython 3.11, x86-64 Linux), most of it the dense slot
-# arrays; the nonzero entries are a handful of shared coefficients.
+# The cube has 2^m vertices; its differentials are stored as their nonzero
+# entries only.  T(2,9) has 9,843 generators and 68,902 nonzero entries (of
+# about 17 million dense slots), and its `compute --pd` takes 1.1 s and
+# peaks at 33 MB resident (CPython 3.11, x86-64 Linux).  The guard stays at
+# 9 until a 10-crossing diagram has been measured end to end.
 MAX_CUBE_CROSSINGS = 9
 
 
@@ -326,20 +326,14 @@ def build_cube(d: Diagram) -> CubeData:
         for deg, bucket in generators.items()
     }
 
-    z = zero(ctx)
-    diffs: Dict[int, List[List[Poly]]] = {}
-    for deg in sorted(generators):
-        if deg + 1 not in generators:
-            continue
-        mat = [
-            [z] * len(generators[deg]) for _ in range(len(generators[deg + 1]))
-        ]
-        diffs[deg] = mat
+    diffs: Dict[int, Columns] = {
+        deg: {} for deg in sorted(generators) if deg + 1 in generators
+    }
 
     coefficients = _edge_coefficients(ctx)
     for r in sorted(states):
         deg = sum(r) - n_minus
-        mat = diffs.get(deg)
+        out = diffs.get(deg)
         src_circles = nonbase[r]
         src_sets = [frozenset(c) for c in src_circles]
         bp_src = frozenset(states[r].circles[states[r].basepoint_circle])
@@ -371,7 +365,7 @@ def build_cube(d: Diagram) -> CubeData:
                 ):
                     eps_of.update(new_eps)
                     teps = tuple(eps_of[s] for s in tgt_sets)
-                    assign_once(mat, tgt_index[(r2, teps)], col, coeff)
+                    assign_once(out, tgt_index[(r2, teps)], col, coeff)
 
     return CubeData(
         d,

@@ -18,7 +18,7 @@ from fractions import Fraction
 from typing import Dict, NamedTuple, Sequence, Tuple
 
 from . import linalg
-from .complexes import GradedFreeComplex, sparse_columns
+from .complexes import GradedFreeComplex
 from .errors import (
     InternalError,
     InvalidRootError,
@@ -109,12 +109,11 @@ def expand(c: GradedFreeComplex) -> ScalarComplex:
         i: {(m.gen, m.a): p for p, m in enumerate(b)} for i, b in basis.items()
     }
 
-    entries = sparse_columns(c)
     cols: Dict[int, Tuple[Tuple[Fraction, ...], ...]] = {}
     for i in degrees:
         if i + 1 not in basis:
             continue
-        by_col = entries.get(i, {})
+        by_col = c.cols.get(i, {})
         out = []
         for m in basis[i]:
             col = [Fraction(0)] * len(basis[i + 1])

@@ -26,7 +26,7 @@ def pretzel_2m37_fixture(n: int) -> GradedFreeComplex:
     ctx = equivariant_ctx(n)
     dw1 = potential_derivative(ctx, 1)
     dw2 = potential_derivative(ctx, 2)
-    return GradedFreeComplex.build(
+    return GradedFreeComplex.from_rows(
         ctx,
         {-1: [-2], 0: [-2 * n, 2 - 2 * n]},
         {-1: [[dw1], [dw2]]},
@@ -38,7 +38,7 @@ def s3_p754_fixture() -> GradedFreeComplex:
     ctx = equivariant_ctx(3)
     top = parse_poly("a2^2 - 3*a1", ctx)
     dw1 = potential_derivative(ctx, 1)
-    return GradedFreeComplex.build(
+    return GradedFreeComplex.from_rows(
         ctx,
         {-1: [4], 0: [0, 0]},
         {-1: [[top], [dw1]]},
@@ -50,7 +50,7 @@ def s3_p976_fixture() -> GradedFreeComplex:
     ctx = equivariant_ctx(3)
     cube = parse_poly("(3*x + a2)^3", ctx)
     dw1 = potential_derivative(ctx, 1)
-    return GradedFreeComplex.build(
+    return GradedFreeComplex.from_rows(
         ctx,
         {0: [0, -2], 1: [-6]},
         {0: [[cube, dw1]]},
@@ -60,7 +60,7 @@ def s3_p976_fixture() -> GradedFreeComplex:
 def acyclic_pair(ctx: RingCtx, label: int, degree: int) -> GradedFreeComplex:
     """q^label (R --1--> R) concentrated in degrees (degree, degree+1)."""
     one = parse_poly("1", ctx)
-    return GradedFreeComplex.build(
+    return GradedFreeComplex.from_rows(
         ctx,
         {degree: [label], degree + 1: [label]},
         {degree: [[one]]},

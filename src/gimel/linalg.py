@@ -5,12 +5,18 @@ highest position.  Vectors are added one at a time, each reduced against
 the stored ones until its top is a position no stored vector has.  Rank,
 span membership, the lowest top a vector can be reduced to, and the
 dependencies among a list of vectors all come from that one loop.
+
+``rref`` and ``kernel`` pass each nonzero entry through ``ring.exact``: an
+int becomes a Fraction, so every division is exact, and a float is a
+TypeError.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
 from typing import Dict, List, Optional, Sequence
+
+from .ring import exact
 
 Vector = Dict[int, Fraction]
 
@@ -58,9 +64,9 @@ def rref(rows: Sequence[Sequence[Fraction]], order: Optional[Sequence[int]] = No
     e = Echelon()
     for row in rows:
         if order is None:
-            e.add({c: x for c, x in enumerate(row) if x})
+            e.add({c: exact(x) for c, x in enumerate(row) if x})
         else:
-            e.add({order[c]: x for c, x in enumerate(row) if x})
+            e.add({order[c]: exact(x) for c, x in enumerate(row) if x})
     return e
 
 
@@ -78,7 +84,7 @@ def kernel(columns: Sequence[Sequence[Fraction]]) -> List[Vector]:
     e = Echelon()
     deps = []
     for f, column in enumerate(columns):
-        v = {c: x for c, x in enumerate(column) if x}
+        v = {c: exact(x) for c, x in enumerate(column) if x}
         v[f - n] = Fraction(1)
         if e.add(v) < 0:
             deps.append({p + n: x for p, x in v.items()})

@@ -45,7 +45,10 @@ def require_exact(v: Rational) -> Rational:
 
 
 def exact(v: Rational) -> Fraction:
-    """v as a Fraction, under require_exact's check."""
+    """v as a Fraction, under require_exact's check; a Fraction is
+    returned as it is."""
+    if type(v) is Fraction:
+        return v
     return Fraction(require_exact(v))
 
 
@@ -156,14 +159,34 @@ class Poly:
     def __sub__(self, other: "Poly") -> "Poly":
         return self + -other
 
+    def _scaled(self, k: Rational) -> "Poly":
+        """self * k for a rational k.  Scaling by a nonzero k keeps every
+        exponent, so the terms need no re-sort and no zero filter."""
+        if k == 1:
+            return self
+        if not k:
+            return Poly(self.ctx, ())
+        terms = []
+        for e, c in self.terms:
+            v = c * k
+            if type(v) is Fraction and v.denominator == 1:
+                v = v.numerator
+            terms.append((e, v))
+        return Poly(self.ctx, tuple(terms))
+
     def __mul__(self, other) -> "Poly":
         """Product with a Poly of the same context, or with an int or
-        Fraction scalar (any other operand is a TypeError)."""
+        Fraction scalar (any other operand is a TypeError).  A nonzero
+        constant factor scales the other one."""
         if isinstance(other, (int, Fraction)):
-            return Poly.from_dict(self.ctx, {e: v * other for e, v in self.terms})
+            return self._scaled(other)
         if not isinstance(other, Poly):
             return NotImplemented
         self._check(other)
+        if len(other.terms) == 1 and not any(other.terms[0][0]):
+            return self._scaled(other.terms[0][1])
+        if len(self.terms) == 1 and not any(self.terms[0][0]):
+            return other._scaled(self.terms[0][1])
         d: dict = {}
         for e1, c1 in self.terms:
             for e2, c2 in other.terms:

@@ -14,9 +14,9 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Dict, List, Optional, Tuple
 
-from .complexes import GradedFreeComplex, euler, sparse_columns
+from .complexes import Columns, GradedFreeComplex, euler
 from .errors import DecompositionError
-from .ring import Poly, zero
+from .ring import Poly
 
 
 def _unit_value(p: Poly) -> Optional[Fraction]:
@@ -38,10 +38,13 @@ def gauss_simplify(c: GradedFreeComplex) -> GradedFreeComplex:
     of smallest row is cancelled.  Passes repeat until one cancels nothing,
     which makes the output deterministic.
     """
-    z = zero(c.ctx)
     alive: Dict[int, List[bool]] = {i: [True] * c.rank(i) for i in c.degrees()}
-    # d^i held twice, by row and by column: rows[i][r][col] is cols[i][col][r].
-    cols = sparse_columns(c)
+    # A copy of d^i held twice, by row and by column: rows[i][r][col] is
+    # cols[i][col][r].
+    cols = {
+        i: {col: dict(column) for col, column in by_col.items()}
+        for i, by_col in c.cols.items()
+    }
     rows: Dict[int, Dict[int, Dict[int, Poly]]] = {}
     for i, by_col in cols.items():
         rows[i] = {}
@@ -99,17 +102,14 @@ def gauss_simplify(c: GradedFreeComplex) -> GradedFreeComplex:
         i: {old: new for new, old in enumerate(keep[i])} for i in keep
     }
     mods = {i: [c.labels(i)[k] for k in keep[i]] for i in keep}
-    diffs: Dict[int, List[List[Poly]]] = {}
-    for i, mat in rows.items():
-        nrows, ncols = len(keep.get(i + 1, [])), len(keep.get(i, []))
-        if nrows == 0 or ncols == 0:
-            continue
-        m = [[z] * ncols for _ in range(nrows)]
-        for r, row in mat.items():
-            for col, e in row.items():
-                m[new_index[i + 1][r]][new_index[i][col]] = e
-        diffs[i] = m
-    return GradedFreeComplex.build(c.ctx, mods, diffs)
+    out: Dict[int, Columns] = {}
+    for i, by_col in cols.items():
+        new_row, new_col = new_index[i + 1], new_index[i]
+        out[i] = {
+            new_col[col]: {new_row[r]: e for r, e in column.items()}
+            for col, column in by_col.items()
+        }
+    return GradedFreeComplex.build(c.ctx, mods, out)
 
 
 @dataclass(frozen=True)
@@ -138,7 +138,7 @@ def split_components(c: GradedFreeComplex) -> Decomposition:
         if ra != rb:
             parent[max(ra, rb)] = min(ra, rb)
 
-    for i, by_col in sparse_columns(c).items():
+    for i, by_col in c.cols.items():
         for col, entries in by_col.items():
             for r in entries:
                 union((i, col), (i + 1, r))
@@ -155,13 +155,19 @@ def split_components(c: GradedFreeComplex) -> Decomposition:
             i: [k for (d, k) in members if d == i] for i in c.degrees()
         }
         mods = {i: [c.labels(i)[k] for k in idx[i]] for i in idx if idx[i]}
-        diffs = {}
-        for i, full in c.diffs:
+        cols: Dict[int, Columns] = {}
+        for i, by_col in c.cols.items():
             src, tgt = idx.get(i, []), idx.get(i + 1, [])
             if not src or not tgt:
                 continue
-            diffs[i] = [[full[r][col] for col in src] for r in tgt]
-        summands.append(GradedFreeComplex.build(c.ctx, mods, diffs))
+            # a column's rows all lie in its own component
+            new_row = {old: new for new, old in enumerate(tgt)}
+            cols[i] = {
+                new: {new_row[r]: e for r, e in by_col[col].items()}
+                for new, col in enumerate(src)
+                if col in by_col
+            }
+        summands.append(GradedFreeComplex.build(c.ctx, mods, cols))
         provenance.append(tuple(members))
     return Decomposition(tuple(summands), tuple(provenance))
 

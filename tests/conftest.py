@@ -9,7 +9,7 @@ from typing import Dict, List, Tuple
 
 import pytest
 
-from gimel.complexes import ComplexReport, GradedFreeComplex, euler, evaluate
+from gimel.complexes import ComplexReport, GradedFreeComplex, dense_rows, euler, evaluate
 from gimel.cube import Diagram, build_cube, resolve
 from gimel.errors import ContextMismatchError, InternalError, NondegeneracyError
 from gimel.filtration import ScalarComplex, _check_simple_root, expand
@@ -35,17 +35,25 @@ PD_CORPUS = [UNKNOT_PD, KINK_NEG_PD, KINK_POS_PD, TREFOIL_PD, FIG8_PD]
 
 
 @pytest.fixture
-def from_dict_calls(monkeypatch):
-    """A one-element list counting calls to ``Poly.from_dict``, the one
-    normal-form constructor that every ``Poly`` operation ends in."""
+def poly_builds(monkeypatch):
+    """A one-element list counting the Polys that arithmetic builds: every
+    call to ``Poly.from_dict``, the normal-form constructor, and every new
+    Poly of ``Poly._scaled``, the scalar product (negation included) that
+    keeps term order and so builds its result without ``from_dict``."""
     calls = [0]
-    original = Poly.from_dict
+    from_dict, scaled = Poly.from_dict, Poly._scaled
 
-    def counting(ctx, d):
+    def counting_from_dict(ctx, d):
         calls[0] += 1
-        return original(ctx, d)
+        return from_dict(ctx, d)
 
-    monkeypatch.setattr(Poly, "from_dict", staticmethod(counting))
+    def counting_scaled(self, k):
+        out = scaled(self, k)
+        calls[0] += out is not self
+        return out
+
+    monkeypatch.setattr(Poly, "from_dict", staticmethod(counting_from_dict))
+    monkeypatch.setattr(Poly, "_scaled", counting_scaled)
     return calls
 
 
@@ -353,7 +361,7 @@ def validate_reference(c: GradedFreeComplex) -> ComplexReport:
         tgt = c.labels(i + 1)
         if not tgt:
             continue
-        mat = c.diff(i)
+        mat = dense_rows(c, i)
         for col, s in enumerate(src):
             for row, t in enumerate(tgt):
                 e = mat[row][col]
@@ -382,8 +390,8 @@ def validate_reference(c: GradedFreeComplex) -> ComplexReport:
     for i in c.degrees():
         if c.rank(i + 1) == 0 or c.rank(i + 2) == 0:
             continue
-        d0 = c.diff(i)
-        d1 = c.diff(i + 1)
+        d0 = dense_rows(c, i)
+        d1 = dense_rows(c, i + 1)
         for row in range(c.rank(i + 2)):
             for col in range(c.rank(i)):
                 acc = zero(c.ctx)
@@ -428,13 +436,13 @@ def isomorphic_up_to_scaling(c1: GradedFreeComplex, c2: GradedFreeComplex) -> bo
         for i in degrees:
             if c2.rank(i + 1) == 0:
                 continue
-            m1 = c1.diff(i)
+            m1 = dense_rows(c1, i)
             p_src = perm[i]
             p_tgt = perm.get(i + 1)
             if p_tgt is None:
                 continue
             pm1 = [[m1[p_tgt[r]][p_src[c]] for c in range(len(p_src))] for r in range(len(p_tgt))]
-            m2 = c2.diff(i)
+            m2 = dense_rows(c2, i)
             # scaling freedom: compare supports and entry ratios only
             for r in range(len(p_tgt)):
                 for c in range(len(p_src)):
@@ -460,7 +468,7 @@ def _consistent_rescaling(c1, c2, perm, degrees) -> bool:
     for i in degrees:
         if i + 1 not in perm or c2.rank(i + 1) == 0:
             continue
-        m1, m2 = c1.diff(i), c2.diff(i)
+        m1, m2 = dense_rows(c1, i), dense_rows(c2, i)
         p_src, p_tgt = perm[i], perm[i + 1]
         for r in range(len(p_tgt)):
             for c in range(len(p_src)):
@@ -518,7 +526,7 @@ def gauss_reference(c: GradedFreeComplex) -> GradedFreeComplex:
     alive: Dict[int, List[bool]] = {i: [True] * c.rank(i) for i in c.degrees()}
     mats: Dict[int, Dict[Tuple[int, int], Poly]] = {}
     for i, _ in c.diffs:
-        d = c.diff(i)
+        d = dense_rows(c, i)
         mats[i] = {
             (r, col): e
             for r, row in enumerate(d)
@@ -588,7 +596,7 @@ def gauss_reference(c: GradedFreeComplex) -> GradedFreeComplex:
         for (r, col), e in mat.items():
             m[new_index[i + 1][r]][new_index[i][col]] = e
         diffs[i] = m
-    return GradedFreeComplex.build(c.ctx, mods, diffs)
+    return GradedFreeComplex.from_rows(c.ctx, mods, diffs)
 
 
 def tensor_reference(c1: GradedFreeComplex, c2: GradedFreeComplex) -> GradedFreeComplex:
@@ -621,8 +629,8 @@ def tensor_reference(c1: GradedFreeComplex, c2: GradedFreeComplex) -> GradedFree
         for deg, bucket in gens.items()
     }
 
-    d1 = {i: c1.diff(i) for i in c1.degrees()}
-    d2 = {i: c2.diff(i) for i in c2.degrees()}
+    d1 = {i: dense_rows(c1, i) for i in c1.degrees()}
+    d2 = {i: dense_rows(c2, i) for i in c2.degrees()}
     z = zero(ctx)
     diffs: Dict[int, List[List[Poly]]] = {}
     for deg, bucket in sorted(gens.items()):
@@ -643,7 +651,7 @@ def tensor_reference(c1: GradedFreeComplex, c2: GradedFreeComplex) -> GradedFree
                     row = index[deg + 1][(i1, a, i2 + 1, tb)]
                     mat[row][col] = mat[row][col] + sign * e
         diffs[deg] = mat
-    return GradedFreeComplex.build(ctx, mods, diffs)
+    return GradedFreeComplex.from_rows(ctx, mods, diffs)
 
 
 def split_reference(c: GradedFreeComplex) -> Decomposition:
@@ -667,7 +675,7 @@ def split_reference(c: GradedFreeComplex) -> Decomposition:
             parent[max(ra, rb)] = min(ra, rb)
 
     for i, _ in c.diffs:
-        mat = c.diff(i)
+        mat = dense_rows(c, i)
         for r in range(c.rank(i + 1)):
             for col in range(c.rank(i)):
                 if not mat[r][col].is_zero():
@@ -690,8 +698,8 @@ def split_reference(c: GradedFreeComplex) -> Decomposition:
             src, tgt = idx.get(i, []), idx.get(i + 1, [])
             if not src or not tgt:
                 continue
-            full = c.diff(i)
+            full = dense_rows(c, i)
             diffs[i] = [[full[r][col] for col in src] for r in tgt]
-        summands.append(GradedFreeComplex.build(c.ctx, mods, diffs))
+        summands.append(GradedFreeComplex.from_rows(c.ctx, mods, diffs))
         provenance.append(tuple(members))
     return Decomposition(tuple(summands), tuple(provenance))

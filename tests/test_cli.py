@@ -62,6 +62,16 @@ def test_bundled_fixtures_match_builders():
             assert fixture_from_dict(json.load(fh)) == build(), name
 
 
+def test_bundled_fixtures_round_trip_through_the_stored_form():
+    """Reading a fixture into columns and writing it back, "0" in every
+    empty slot, gives the same JSON object."""
+    data = Path(gimel.__file__).parent / "data"
+    for name in BUNDLED:
+        with open(data / f"{name}.json", "r", encoding="utf-8") as fh:
+            d = json.load(fh)
+        assert fixture_to_dict(fixture_from_dict(d), name=d["name"]) == d, name
+
+
 def _assert_malformed(res):
     assert res.exit_code == 1, res.output
     assert json.loads(res.stderr)["error"] == "MalformedInputError"
@@ -168,6 +178,23 @@ def test_compute_short_differential_row(runner, tmp_path):
     path = tmp_path / "short.json"
     path.write_text(json.dumps(d))
     _assert_malformed(runner.invoke(main, ["compute", "--fixture", str(path)]))
+
+
+def test_compute_reports_the_lowest_faulty_degree_first(runner, tmp_path):
+    """A nonzero entry with no home at degree 0 is reported before the
+    ragged d^2 above it."""
+    d = {
+        "name": "two-faults",
+        "n": 2,
+        "kind": "equivariant",
+        "modules": {"0": [0], "2": [0, 0], "3": [0]},
+        "differentials": {"0": [["1"]], "2": [["1", "0"], ["1"]]},
+    }
+    path = tmp_path / "two-faults.json"
+    path.write_text(json.dumps(d))
+    res = runner.invoke(main, ["compute", "--fixture", str(path)])
+    _assert_malformed(res)
+    assert json.loads(res.stderr)["message"] == "differential at degree 0 has no home"
 
 
 def test_compute_fixture_fields_not_objects(runner, tmp_path):

@@ -7,12 +7,12 @@ from gimel.complexes import (
     GradedFreeComplex,
     assign_once,
     block_sum,
+    dense_rows,
     dual,
     euler,
     evaluate,
     rank_one_complex,
     shift,
-    sparse_columns,
     tensor,
     validate,
 )
@@ -51,7 +51,7 @@ def test_validate_fixtures():
 def test_validate_catches_d_squared():
     ctx = equivariant_ctx(2)
     one = parse_poly("1", ctx)
-    c = GradedFreeComplex.build(
+    c = GradedFreeComplex.from_rows(
         ctx, {0: [0], 1: [0], 2: [0]}, {0: [[one]], 1: [[one]]}
     )
     rep = validate(c)
@@ -61,7 +61,7 @@ def test_validate_catches_d_squared():
 
 def test_validate_catches_inhomogeneous_entry():
     ctx = equivariant_ctx(2)
-    c = GradedFreeComplex.build(
+    c = GradedFreeComplex.from_rows(
         ctx, {0: [0], 1: [0]}, {0: [[parse_poly("x", ctx)]]}
     )
     rep = validate(c)
@@ -88,7 +88,7 @@ def _graded_complexes(draw):
         for i in mods
         if mods[i] and mods.get(i + 1)
     }
-    return GradedFreeComplex.build(ctx, mods, diffs)
+    return GradedFreeComplex.from_rows(ctx, mods, diffs)
 
 
 @settings(max_examples=80, deadline=None)
@@ -106,7 +106,7 @@ def test_build_shape_check():
     ctx = equivariant_ctx(2)
     one = parse_poly("1", ctx)
     with pytest.raises(MalformedInputError):
-        GradedFreeComplex.build(ctx, {0: [0, 0], 1: [0]}, {0: [[one]]})
+        GradedFreeComplex.from_rows(ctx, {0: [0, 0], 1: [0]}, {0: [[one]]})
 
 
 def test_euler():
@@ -121,7 +121,7 @@ def test_shift():
     s = shift(c, 2, 6)
     assert s.degrees() == [1, 2]
     assert s.labels(2) == (6, 6)
-    assert s.diff(1) == c.diff(-1)
+    assert dense_rows(s, 1) == dense_rows(c, -1)
 
 
 def test_tensor_matches_worked_example():
@@ -175,7 +175,7 @@ def test_evaluate_specializes():
     assert s.ctx.kind == "specialized"
     assert validate(s).ok
     # dw' at x^3 - x^2 is 3x^2 - 2x
-    assert s.diff(-1)[0][0] == parse_poly("3*x^2 - 2*x", s.ctx)
+    assert dense_rows(s, -1)[0][0] == parse_poly("3*x^2 - 2*x", s.ctx)
 
 
 def test_block_sum():
@@ -236,27 +236,28 @@ def _nonzeros(c):
     return sum(1 for _, mat in c.diffs for row in mat for e in row if not e.is_zero())
 
 
-def test_tensor_assembly_only_negates_second_factor(from_dict_calls):
+def test_tensor_assembly_only_negates_second_factor(poly_builds):
     """Each entry of the product is a factor's entry or its negation, so
     assembly makes at most one new Poly per nonzero entry of b."""
     odd, even = _cube(TREFOIL_PD), unknot_fixture(2)  # degrees 0..3 and 0
     b = _cube(FIG8_PD)
-    from_dict_calls[0] = 0
+    poly_builds[0] = 0
     tensor(odd, b)
-    assert from_dict_calls[0] <= _nonzeros(b)
-    from_dict_calls[0] = 0
+    assert poly_builds[0] <= _nonzeros(b)
+    poly_builds[0] = 0
     tensor(even, b)
-    assert from_dict_calls[0] == 0
+    assert poly_builds[0] == 0
 
 
 def test_assign_once_rejects_a_second_hit():
     ctx = equivariant_ctx(2)
-    z, x = zero(ctx), parse_poly("x", ctx)
-    mat = [[z, z]]
-    assign_once(mat, 0, 1, x)
-    assert mat == [[z, x]]
+    x = parse_poly("x", ctx)
+    cols = {}
+    assign_once(cols, 0, 1, x)
+    assert cols == {1: {0: x}}
     with pytest.raises(InternalError):
-        assign_once(mat, 0, 1, x)
+        assign_once(cols, 0, 1, x)
+    assert cols == {1: {0: x}}
 
 
 def _dense_matrices(data, ctx):
@@ -284,7 +285,7 @@ def _dense_matrices(data, ctx):
 def test_sparse_columns_lists_exactly_the_nonzeros(data):
     ctx = equivariant_ctx(2)
     mods, diffs = _dense_matrices(data, ctx)
-    got = sparse_columns(GradedFreeComplex.build(ctx, mods, diffs))
+    got = GradedFreeComplex.from_rows(ctx, mods, diffs).cols
     assert sorted(got) == sorted(diffs)
     for i, mat in diffs.items():
         want = {
@@ -304,3 +305,96 @@ def test_evaluate_rejects_floats():
     with pytest.raises(TypeError):
         evaluate(c, [0.0, 0.1, -1])
     assert evaluate(c, [0, 0, -1]) == evaluate(c, standard_potential(3))
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.data())
+def test_dense_rows_round_trip_through_the_stored_form(data):
+    ctx = equivariant_ctx(2)
+    mods, diffs = _dense_matrices(data, ctx)
+    c = GradedFreeComplex.from_rows(ctx, mods, diffs)
+    back = {i: [list(row) for row in mat] for i, mat in c.diffs}
+    z = zero(ctx)
+    want = {
+        i: [[e if e.terms else z for e in row] for row in mat]
+        for i, mat in diffs.items()
+    }
+    assert back == want
+
+
+def test_build_rejects_an_entry_out_of_range():
+    ctx = equivariant_ctx(2)
+    one = parse_poly("1", ctx)
+    mods = {0: [0, 0], 1: [0]}
+    outside = [{0: {2: {0: one}}}, {0: {0: {1: one}}}, {0: {-1: {0: one}}}, {0: {0: {-1: one}}}]
+    for cols in outside:
+        with pytest.raises(MalformedInputError):
+            GradedFreeComplex.build(ctx, mods, cols)
+    assert GradedFreeComplex.build(ctx, mods, {0: {1: {0: one}}}).cols == {0: {1: {0: one}}}
+
+
+def test_build_rejects_an_entry_in_another_context():
+    ctx = equivariant_ctx(2)
+    other = parse_poly("1", equivariant_ctx(3))
+    with pytest.raises(ContextMismatchError):
+        GradedFreeComplex.build(ctx, {0: [0], 1: [0]}, {0: {0: {0: other}}})
+    # a zero entry carries no coefficient, so its context is not checked
+    c = GradedFreeComplex.build(ctx, {0: [0], 1: [0]}, {0: {0: {0: zero(equivariant_ctx(3))}}})
+    assert c.cols == {0: {}}
+
+
+def test_build_rejects_an_entry_with_no_home():
+    ctx = equivariant_ctx(2)
+    one = parse_poly("1", ctx)
+    with pytest.raises(MalformedInputError, match="no home"):
+        GradedFreeComplex.build(ctx, {0: [0]}, {0: {0: {0: one}}})
+    with pytest.raises(MalformedInputError, match="no home"):
+        GradedFreeComplex.from_rows(ctx, {1: [0]}, {0: [[one]]})
+    # without a nonzero entry the degree is simply not kept
+    c = GradedFreeComplex.build(ctx, {0: [0]}, {0: {0: {0: zero(ctx)}}, 5: {}})
+    assert c.cols == {}
+
+
+def test_build_drops_zeros_and_keeps_a_zero_differential():
+    ctx = equivariant_ctx(2)
+    x, z = parse_poly("x", ctx), zero(ctx)
+    explicit = Poly.from_dict(ctx, {(0, 0): 0})
+    c = GradedFreeComplex.build(
+        ctx,
+        {0: [0, 0], 1: [-2, -2], 2: [-4]},
+        {0: {1: {0: z, 1: x}, 0: {1: explicit}}, 1: {0: {0: z}}},
+    )
+    assert c.cols == {0: {1: {1: x}}, 1: {}}
+    assert list(c.cols) == [0, 1]
+    assert [(i, len(mat), len(mat[0])) for i, mat in c.diffs] == [(0, 2, 2), (1, 1, 2)]
+
+
+def test_build_sorts_columns_and_rows():
+    ctx = equivariant_ctx(2)
+    one = parse_poly("1", ctx)
+    c = GradedFreeComplex.build(
+        ctx, {0: [0, 0, 0], 1: [0, 0, 0]}, {0: {2: {2: one, 0: one}, 0: {1: one}}}
+    )
+    assert list(c.cols[0]) == [0, 2]
+    assert list(c.cols[0][2]) == [0, 2]
+
+
+def test_evaluate_drops_entries_that_specialize_to_zero():
+    """At a potential with c1 = 0 the cube's a1 entries vanish: none is
+    stored, and the specialized cube still validates."""
+    c = build_equivariant_sl2(parse_pd(TREFOIL_PD))
+    a1 = parse_poly("a1", c.ctx)
+    a1_slots = [
+        (i, col, r)
+        for i, by_col in c.cols.items()
+        for col, column in by_col.items()
+        for r, e in column.items()
+        if e in (a1, -a1)
+    ]
+    assert a1_slots
+    s = evaluate(c, [0, 0])
+    assert s.ctx.potential == (0, 0)
+    assert all(r not in s.cols[i].get(col, {}) for i, col, r in a1_slots)
+    stored = [e for by_col in s.cols.values() for column in by_col.values() for e in column.values()]
+    assert stored and all(e.terms for e in stored)
+    assert validate(s).ok

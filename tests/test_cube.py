@@ -127,14 +127,14 @@ SEVEN_1_PD = (
 )
 
 
-def test_cube_assembly_count_does_not_grow(from_dict_calls):
+def test_cube_assembly_count_does_not_grow(poly_builds):
     """Every edge-map term is a shared coefficient, assigned: the Poly
     constructions of a build do not depend on the size of the cube."""
     small, large = parse_pd(TREFOIL_PD), parse_pd(SEVEN_1_PD)
     build_equivariant_sl2(small)  # warm-up
     counts = []
     for d in (small, large):
-        from_dict_calls[0] = 0
+        poly_builds[0] = 0
         build_equivariant_sl2(d)
-        counts.append(from_dict_calls[0])
+        counts.append(poly_builds[0])
     assert counts[0] == counts[1]

@@ -2,6 +2,7 @@
 
 from fractions import Fraction
 
+import pytest
 from conftest import _nullspace, _rank
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -79,3 +80,21 @@ def test_compute_report_reduces_through_rref(monkeypatch):
     monkeypatch.setattr(gimel.linalg, "rref", counting)
     compute_report(tensor(s3_p754_fixture(), s3_p976_fixture()))
     assert calls[0] >= 1
+
+
+def test_int_entries_reduce_exactly():
+    deps = kernel([[2], [3]])
+    assert deps == [{0: Fraction(-3, 2), 1: 1}]
+    assert all(type(x) is Fraction for v in deps for x in v.values())
+    stored = rref([[2, 3], [4, 7]]).pivots
+    assert stored == {1: {0: 2, 1: 3}, 0: {0: Fraction(-2, 3)}}
+    assert all(type(x) is Fraction for v in stored.values() for x in v.values())
+
+
+def test_float_entries_are_refused():
+    with pytest.raises(TypeError):
+        kernel([[0.5], [1]])
+    with pytest.raises(TypeError):
+        rref([[1, 2.5]])
+    with pytest.raises(TypeError):
+        rref([[2.0, 0]], [0, 1])

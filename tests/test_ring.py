@@ -9,7 +9,7 @@ from gimel.errors import (
     MalformedInputError,
     UndefinedDegreeError,
 )
-from gimel.complexes import GradedFreeComplex
+from gimel.complexes import GradedFreeComplex, dense_rows
 from gimel.ring import (
     EQUIVARIANT,
     SPECIALIZED,
@@ -126,8 +126,8 @@ def test_contexts_are_shared_and_compared_by_value():
     p = parse_poly("x + a1", other)
     q = parse_poly("x", equivariant_ctx(3))
     assert p + q == q + p == parse_poly("2*x + a1", equivariant_ctx(3))
-    c = GradedFreeComplex.build(equivariant_ctx(3), {0: [0], 1: [-2]}, {0: [[p]]})
-    assert c.diff(0) == [[p]]
+    c = GradedFreeComplex.from_rows(equivariant_ctx(3), {0: [0], 1: [-2]}, {0: [[p]]})
+    assert dense_rows(c, 0) == [[p]]
 
 
 def test_format_round_trip():
@@ -223,6 +223,9 @@ def test_mixed_coefficients_match_fraction_reference(data):
     k = data.draw(_mixed)
     p, q = Poly.from_dict(ctx, a), Poly.from_dict(ctx, b)
     neg_b = {e: -c for e, c in b.items()}
+    # a constant operand, on either side, of a product of two Polys
+    const = {(0,) * ctx.nvars: data.draw(_mixed)}
+    kp = Poly.from_dict(ctx, const)
     cases = [
         (p, _ref(a)),
         (p + q, _ref_add(a, b)),
@@ -230,9 +233,13 @@ def test_mixed_coefficients_match_fraction_reference(data):
         (p * q, _ref_mul(a, b)),
         (p * k, _ref({e: F(c) * k for e, c in a.items()})),
         (k * p, _ref({e: F(c) * k for e, c in a.items()})),
+        (p * kp, _ref_mul(a, const)),
+        (kp * p, _ref_mul(const, a)),
+        (kp * kp, _ref_mul(const, const)),
     ]
     for got, want in cases:
         assert dict(got.terms) == want
+        assert list(got.terms) == sorted(got.terms)
         assert _canonical(got)
         back = parse_poly(format_poly(got), ctx)
         assert back == got and [type(c) for _, c in back.terms] == [
@@ -257,6 +264,24 @@ def test_scalars_must_be_int_or_fraction():
             constant(ctx, bad)
     assert p * 2 == p * F(2) == parse_poly("2*x + 1", ctx)
     assert constant(ctx, F(3, 1)).terms == constant(ctx, 3).terms == (((0, 0), 3),)
+
+
+def test_constant_factors_scale_without_a_product():
+    """A factor of 1, as a scalar or as a constant Poly, returns the other
+    factor itself; any other constant factor scales it term by term, with
+    the normal-form coefficient types."""
+    for ctx in (equivariant_ctx(2), specialized_ctx(3, standard_potential(3))):
+        p = parse_poly("2*x^2 + 1/2*x - 3", ctx)
+        one = constant(ctx, 1)
+        assert p * 1 is p and p * F(1) is p
+        assert p * one is p and one * p is p
+        half = constant(ctx, F(1, 2))
+        want = parse_poly("x^2 + 1/4*x - 3/2", ctx)
+        for got in (p * half, half * p, p * F(1, 2)):
+            assert got == want
+            assert [type(c) for _, c in got.terms] == [type(c) for _, c in want.terms]
+        assert (p * constant(ctx, 2)).terms == parse_poly("4*x^2 + x - 6", ctx).terms
+        assert (p * zero(ctx)).is_zero() and (zero(ctx) * p).is_zero() and (p * 0).is_zero()
 
 
 # -- parser oracle: the same expression tree, rendered to text and evaluated

@@ -19,7 +19,14 @@ from conftest import (
 
 import gimel
 from gimel.cli import fixture_from_dict
-from gimel.complexes import GradedFreeComplex, block_sum, euler, tensor, validate
+from gimel.complexes import (
+    GradedFreeComplex,
+    block_sum,
+    dense_rows,
+    euler,
+    tensor,
+    validate,
+)
 from gimel.cube import build_equivariant_sl2, mirror, parse_pd
 from gimel.errors import DecompositionError
 from gimel.pipeline import compute_report, specialize_for_sweep
@@ -39,7 +46,7 @@ from gimel.simplify import (
 
 def _no_unit_entries(c):
     for i, _ in c.diffs:
-        for row in c.diff(i):
+        for row in dense_rows(c, i):
             for e in row:
                 if len(e.terms) == 1 and not any(e.terms[0][0]) :
                     return False
@@ -92,11 +99,11 @@ def _rescaled_fig8():
     diffs = {
         i: [
             [e * Fraction(col + 1, r + 1) for col, e in enumerate(row)]
-            for r, row in enumerate(c.diff(i))
+            for r, row in enumerate(dense_rows(c, i))
         ]
         for i, _ in c.diffs
     }
-    return GradedFreeComplex.build(c.ctx, dict(c.modules), diffs)
+    return GradedFreeComplex.from_rows(c.ctx, dict(c.modules), diffs)
 
 
 def _trefoil_sum():
@@ -162,7 +169,7 @@ def test_gauss_repeats_passes_for_fill_in_units():
     # (x + 1) - x = 1, a unit in a column the pass has already left.
     ctx = equivariant_ctx(2)
     x, one, x1 = (parse_poly(t, ctx) for t in ("x", "1", "x + 1"))
-    c = GradedFreeComplex.build(ctx, {0: [0, 0], 1: [0, 0]}, {0: [[x, one], [x1, one]]})
+    c = GradedFreeComplex.from_rows(ctx, {0: [0, 0], 1: [0, 0]}, {0: [[x, one], [x1, one]]})
     assert gauss_simplify(c).degrees() == [] == gauss_reference(c).degrees()
 
 
@@ -207,10 +214,10 @@ def test_gauss_drops_a_fill_in_product_that_vanishes():
     sends the empty slot (1, 1) to -x * (x - 1) = 0, which stays empty."""
     ctx = specialized_ctx(2, standard_potential(2))
     one, x, x1, z = (parse_poly(t, ctx) for t in ("1", "x", "x - 1", "0"))
-    c = GradedFreeComplex.build(ctx, {0: [0, 0], 1: [0, 0]}, {0: [[one, x1], [x, z]]})
+    c = GradedFreeComplex.from_rows(ctx, {0: [0, 0], 1: [0, 0]}, {0: [[one, x1], [x, z]]})
     out = gauss_simplify(c)
     assert [(i, out.rank(i)) for i in out.degrees()] == [(0, 1), (1, 1)]
-    assert out.diff(0) == [[z]]
+    assert dense_rows(out, 0) == [[z]]
     assert out == gauss_reference(c)
 
 
