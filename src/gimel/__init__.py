@@ -5,11 +5,9 @@ from equivariant complex fixtures for any n."""
 from .complexes import (
     ComplexReport,
     GradedFreeComplex,
-    block_sum,
     dual,
     euler,
     evaluate,
-    shift,
     tensor,
     validate,
 )
@@ -45,7 +43,6 @@ from .filtration import (
     s_general,
 )
 from .fixtures import (
-    acyclic_pair,
     pretzel_2m37_fixture,
     s3_p754_fixture,
     s3_p976_fixture,
@@ -66,7 +63,6 @@ from .ring import (
     standard_potential,
 )
 from .simplify import (
-    Decomposition,
     extract_sn,
     gauss_simplify,
     split_components,

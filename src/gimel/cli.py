@@ -106,6 +106,8 @@ def fixture_from_dict(d: dict) -> GradedFreeComplex:
     for field in ("n", "kind", "modules", "differentials"):
         if field not in d:
             raise MalformedInputError(f"fixture missing field {field!r}")
+    if not isinstance(d.get("name", ""), str):
+        raise MalformedInputError(f"field 'name' must be a string, got {d['name']!r}")
     n = d["n"]
     if not isinstance(n, int):
         raise MalformedInputError(f"field 'n' must be an integer, got {n!r}")
@@ -216,7 +218,6 @@ def verdict_to_dict(v: verify.PropertyVerdict) -> dict:
 _EXIT_CODES = [
     ((NondegeneracyError, DecompositionError, InvalidRootError), 3),
     ((DegreeMismatchError, InternalError), 2),
-    ((GimelError,), 1),
 ]
 
 
@@ -360,15 +361,15 @@ def compute(fixture_path, pd_text, output, cache_dir):
 def decompose(fixture_path, output):
     """Simplify, split into summands, and identify the distinguished one."""
     c = _validated(load_fixture(fixture_path), "fixture")
-    dec = split_components(gauss_simplify(c))
-    sn = extract_sn(dec)
-    sn_index = next(i for i, s in enumerate(dec.summands) if s is sn)
+    summands = split_components(gauss_simplify(c))
+    sn = extract_sn(summands)
+    sn_index = next(i for i, s in enumerate(summands) if s is sn)
     out = {
         "summands": [
             fixture_to_dict(s, name=f"summand{i}")
-            for i, s in enumerate(dec.summands)
+            for i, s in enumerate(summands)
         ],
-        "euler": [complexes.euler(s) for s in dec.summands],
+        "euler": [complexes.euler(s) for s in summands],
         "distinguished": sn_index,
     }
     _emit(_dump(out), output)

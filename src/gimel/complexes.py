@@ -140,9 +140,6 @@ class GradedFreeComplex:
             (i, tuple(tuple(row) for row in dense_rows(self, i))) for i in self.cols
         )
 
-    def absolute_degree(self, label: int) -> int:
-        return label + 1 - self.ctx.n
-
 
 def dense_rows(c: GradedFreeComplex, i: int) -> List[List[Poly]]:
     """d^i as rank(i+1) rows of rank(i) entries, zero in every empty slot
@@ -158,8 +155,6 @@ def dense_rows(c: GradedFreeComplex, i: int) -> List[List[Poly]]:
 
 @dataclass(frozen=True)
 class ComplexReport:
-    ranks: Tuple[Tuple[int, int], ...]
-    euler: int
     ok: bool
     failures: Tuple[str, ...]
 
@@ -212,19 +207,11 @@ def validate(c: GradedFreeComplex) -> ComplexReport:
             row, col = min(nonzero)
             failures.append(f"d^2 != 0 at degree {i}, entry ({row},{col})")
 
-    ranks = tuple((i, c.rank(i)) for i in c.degrees())
-    return ComplexReport(ranks, euler(c), not failures, tuple(failures))
+    return ComplexReport(not failures, tuple(failures))
 
 
 def euler(c: GradedFreeComplex) -> int:
     return sum((-1 if i % 2 else 1) * c.rank(i) for i in c.degrees())
-
-
-def shift(c: GradedFreeComplex, dt: int, dq: int) -> GradedFreeComplex:
-    """Shift homological degrees by dt and all q-labels by dq."""
-    mods = {i + dt: [s + dq for s in labs] for i, labs in c.modules}
-    cols = {i + dt: by_col for i, by_col in c.cols.items()}
-    return GradedFreeComplex.build(c.ctx, mods, cols)
 
 
 def assign_once(cols: Columns, row: int, col: int, e: Poly) -> None:
@@ -322,23 +309,3 @@ def evaluate(c: GradedFreeComplex, potential: Iterable[Rational]) -> GradedFreeC
         for i, by_col in c.cols.items()
     }
     return GradedFreeComplex.build(specialized_ctx(c.ctx.n, pot), mods, cols)
-
-
-def block_sum(c1: GradedFreeComplex, c2: GradedFreeComplex) -> GradedFreeComplex:
-    """Direct sum, c1's generators listed first in every degree."""
-    if c1.ctx != c2.ctx:
-        raise ContextMismatchError("block_sum operands live in different contexts")
-    mods: Dict[int, List[int]] = {}
-    for i in set(c1.degrees()) | set(c2.degrees()):
-        mods[i] = list(c1.labels(i)) + list(c2.labels(i))
-    cols: Dict[int, Columns] = {}
-    for i in mods:
-        out = cols[i] = dict(c1.cols.get(i, {}))
-        src1, tgt1 = c1.rank(i), c1.rank(i + 1)
-        for col, column in c2.cols.get(i, {}).items():
-            out[src1 + col] = {tgt1 + r: e for r, e in column.items()}
-    return GradedFreeComplex.build(c1.ctx, mods, cols)
-
-
-def rank_one_complex(ctx: RingCtx, label: int = 0, degree: int = 0) -> GradedFreeComplex:
-    return GradedFreeComplex.build(ctx, {degree: [label]}, {})

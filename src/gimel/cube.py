@@ -271,18 +271,7 @@ def _edge_outputs(
     ]
 
 
-@dataclass(frozen=True)
-class CubeData:
-    """Equivariant sl_2 cube plus the generator bookkeeping needed to point
-    at specific cube generators later (the oriented-resolution class)."""
-
-    diagram: Diagram
-    complex: GradedFreeComplex
-    # per homological degree, the ordered generators (vertex, epsilons)
-    generators: Dict[int, List[Tuple[Tuple[int, ...], Tuple[int, ...]]]]
-
-
-def build_cube(d: Diagram) -> CubeData:
+def build_equivariant_sl2(d: Diagram) -> GradedFreeComplex:
     """The equivariant sl_2 complex over R_2 = Q[x, a1].
 
     Vertex r sits in homological degree |r| - n_minus; its module is the
@@ -367,12 +356,4 @@ def build_cube(d: Diagram) -> CubeData:
                     teps = tuple(eps_of[s] for s in tgt_sets)
                     assign_once(out, tgt_index[(r2, teps)], col, coeff)
 
-    return CubeData(
-        d,
-        GradedFreeComplex.build(ctx, mods, diffs),
-        generators,
-    )
-
-
-def build_equivariant_sl2(d: Diagram) -> GradedFreeComplex:
-    return build_cube(d).complex
+    return GradedFreeComplex.build(ctx, mods, diffs)

@@ -76,9 +76,6 @@ class ScalarComplex:
             return self.cols[i]
         return ((Fraction(0),) * self.dim(i + 1),) * self.dim(i)
 
-    def has_standard_potential(self) -> bool:
-        return self.potential == standard_potential(self.n)
-
 
 # The homological degrees the class membership questions read.
 WINDOW = (-1, 0, 1)
@@ -183,6 +180,10 @@ def _minimal_feasible_value(
     unscored ones above all scored ones, reduce the d^{-1} columns to
     distinct top coordinates, then reduce psi against them.  The score of
     psi's remaining top coordinate is the answer."""
+    if len(psi) != s.dim(0):
+        raise MalformedInputError(
+            f"class vector has {len(psi)} coordinates, C^0 has dimension {s.dim(0)}"
+        )
     if not scored:
         raise InternalError("no admissible monomials at all")
     score = {i: v for v, i in scored}
@@ -201,7 +202,7 @@ def _minimal_feasible_value(
 
 
 def _require_standard(s: ScalarComplex) -> None:
-    if not s.has_standard_potential():
+    if s.potential != standard_potential(s.n):
         raise MalformedInputError(
             "gamma/gimel need the potential x^n - x^{n-1}; "
             "use s_general for other potentials"

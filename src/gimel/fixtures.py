@@ -5,9 +5,8 @@ example."""
 
 from __future__ import annotations
 
-from .complexes import GradedFreeComplex, rank_one_complex
+from .complexes import GradedFreeComplex
 from .ring import (
-    RingCtx,
     equivariant_ctx,
     parse_poly,
     potential_derivative,
@@ -16,7 +15,7 @@ from .ring import (
 
 def unknot_fixture(n: int) -> GradedFreeComplex:
     """Rank-1 complex q^0 R in degree 0."""
-    return rank_one_complex(equivariant_ctx(n), label=0, degree=0)
+    return GradedFreeComplex.build(equivariant_ctx(n), {0: [0]}, {})
 
 
 def pretzel_2m37_fixture(n: int) -> GradedFreeComplex:
@@ -54,14 +53,4 @@ def s3_p976_fixture() -> GradedFreeComplex:
         ctx,
         {0: [0, -2], 1: [-6]},
         {0: [[cube, dw1]]},
-    )
-
-
-def acyclic_pair(ctx: RingCtx, label: int, degree: int) -> GradedFreeComplex:
-    """q^label (R --1--> R) concentrated in degrees (degree, degree+1)."""
-    one = parse_poly("1", ctx)
-    return GradedFreeComplex.from_rows(
-        ctx,
-        {degree: [label], degree + 1: [label]},
-        {degree: [[one]]},
     )

@@ -3,14 +3,13 @@
 Gaussian elimination cancels differential entries that are nonzero rational
 constants (a deliberately conservative notion of unit: it is grading-safe in
 both ring kinds), in a fixed index order: by degree, then by column, then by
-row (Bar-Natan, "Fast Khovanov homology computations").  Decomposition into
+row (Bar-Natan, "Fast Khovanov homology computations").  Splitting into
 summands is the connected-component heuristic on the generator graph; the
 odd-Euler-characteristic summand is the equivariant Rasmussen summand.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 from typing import Dict, List, Optional, Tuple
 
@@ -112,18 +111,9 @@ def gauss_simplify(c: GradedFreeComplex) -> GradedFreeComplex:
     return GradedFreeComplex.build(c.ctx, mods, out)
 
 
-@dataclass(frozen=True)
-class Decomposition:
-    """Connected-component splitting of a complex.  ``provenance`` lists,
-    per summand, the (degree, index) pairs of input generators it keeps."""
-
-    summands: Tuple[GradedFreeComplex, ...]
-    provenance: Tuple[Tuple[Tuple[int, int], ...], ...]
-
-
-def split_components(c: GradedFreeComplex) -> Decomposition:
+def split_components(c: GradedFreeComplex) -> Tuple[GradedFreeComplex, ...]:
     """Partition generators into connected components of the graph whose
-    edges are nonzero differential entries."""
+    edges are nonzero differential entries; one summand per component."""
     nodes = [(i, k) for i in c.degrees() for k in range(c.rank(i))]
     parent = {v: v for v in nodes}
 
@@ -148,7 +138,6 @@ def split_components(c: GradedFreeComplex) -> Decomposition:
         groups.setdefault(find(v), []).append(v)
 
     summands = []
-    provenance = []
     for root in sorted(groups):
         members = sorted(groups[root])
         idx = {
@@ -168,14 +157,13 @@ def split_components(c: GradedFreeComplex) -> Decomposition:
                 if col in by_col
             }
         summands.append(GradedFreeComplex.build(c.ctx, mods, cols))
-        provenance.append(tuple(members))
-    return Decomposition(tuple(summands), tuple(provenance))
+    return tuple(summands)
 
 
-def extract_sn(dec: Decomposition) -> GradedFreeComplex:
+def extract_sn(summands: Tuple[GradedFreeComplex, ...]) -> GradedFreeComplex:
     """The unique summand of odd Euler characteristic; it must have
     characteristic 1 and all others 0, as for a knot's complex."""
-    odd = [s for s in dec.summands if euler(s) % 2 != 0]
+    odd = [s for s in summands if euler(s) % 2 != 0]
     if len(odd) != 1:
         raise DecompositionError(
             f"expected exactly one odd-Euler-characteristic summand, found {len(odd)}"
@@ -184,6 +172,6 @@ def extract_sn(dec: Decomposition) -> GradedFreeComplex:
         raise DecompositionError(
             f"distinguished summand has Euler characteristic {euler(odd[0])}, expected 1"
         )
-    if any(euler(s) != 0 for s in dec.summands if s is not odd[0]):
+    if any(euler(s) != 0 for s in summands if s is not odd[0]):
         raise DecompositionError("a non-distinguished summand has nonzero Euler characteristic")
     return odd[0]

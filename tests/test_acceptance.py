@@ -13,6 +13,8 @@ from conftest import (
     PD_CORPUS,
     TREFOIL_PD,
     UNKNOT_PD,
+    acyclic_pair,
+    block_sum,
     gamma_oracle,
     gornik_cocycle_sl2,
     u_oracle,
@@ -27,7 +29,6 @@ from gimel.cube import (
 )
 from gimel.filtration import gamma_at, gornik_class_fixture
 from gimel.fixtures import (
-    acyclic_pair,
     pretzel_2m37_fixture,
     s3_p754_fixture,
     s3_p976_fixture,
@@ -190,8 +191,6 @@ def test_planted_summand_recovery():
     rng = random.Random(20240823)
     base = pretzel_2m37_fixture(3)
     clean = compute_report(base)
-    from gimel.complexes import block_sum
-
     padded = base
     for _ in range(5):
         padded = block_sum(

@@ -4,7 +4,7 @@ from pathlib import Path
 
 import pytest
 from click.testing import CliRunner
-from conftest import TREFOIL_PD
+from conftest import TREFOIL_PD, acyclic_pair, block_sum
 
 import gimel
 
@@ -206,6 +206,26 @@ def test_compute_fixture_fields_not_objects(runner, tmp_path):
         _assert_malformed(runner.invoke(main, ["compute", "--fixture", str(path)]))
 
 
+def test_compute_rejects_a_name_that_is_not_a_string(runner, tmp_path):
+    data = Path(gimel.__file__).parent / "data" / "unknot_n2.json"
+    d = json.loads(data.read_text(encoding="utf-8"))
+    cache = tmp_path / "cache"
+    for name in (5, None, ["u"]):
+        path = tmp_path / "named.json"
+        path.write_text(json.dumps(dict(d, name=name)))
+        res = runner.invoke(
+            main, ["compute", "--fixture", str(path), "--cache-dir", str(cache)]
+        )
+        _assert_malformed(res)
+        assert res.stdout == ""
+        assert "'name'" in json.loads(res.stderr)["message"]
+    assert not cache.exists()
+    # a fixture without a name is still accepted
+    path.write_text(json.dumps({k: v for k, v in d.items() if k != "name"}))
+    res = runner.invoke(main, ["compute", "--fixture", str(path)])
+    assert res.exit_code == 0 and json.loads(res.stdout)["name"] == ""
+
+
 def test_zero_denominator_in_entry(runner, tmp_path):
     d = {
         "name": "zero-denominator",
@@ -274,8 +294,6 @@ def test_compute_validation_failure_exit_code(runner, tmp_path):
 
 def test_compute_degenerate_class_exit_code(runner, tmp_path):
     # two odd-Euler summands: the distinguished summand is ambiguous
-    from gimel.complexes import block_sum
-
     c = block_sum(unknot_fixture(3), unknot_fixture(3))
     path = _write_fixture(tmp_path, c, "double")
     res = runner.invoke(main, ["compute", "--fixture", path])
@@ -340,9 +358,6 @@ def test_tensor_and_dual_commands(runner, tmp_path):
 
 
 def test_decompose_command(runner, tmp_path):
-    from gimel.complexes import block_sum
-    from gimel.fixtures import acyclic_pair
-
     base = s3_p754_fixture()
     c = block_sum(base, acyclic_pair(base.ctx, 3, 1))
     path = _write_fixture(tmp_path, c, "padded")

@@ -1,25 +1,29 @@
 import pytest
-from conftest import FIG8_PD, TREFOIL_PD, tensor_reference, validate_reference
+from conftest import (
+    FIG8_PD,
+    TREFOIL_PD,
+    acyclic_pair,
+    block_sum,
+    rank_one_complex,
+    tensor_reference,
+    validate_reference,
+)
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from gimel.complexes import (
     GradedFreeComplex,
     assign_once,
-    block_sum,
     dense_rows,
     dual,
     euler,
     evaluate,
-    rank_one_complex,
-    shift,
     tensor,
     validate,
 )
 from gimel.cube import build_equivariant_sl2, mirror, parse_pd
 from gimel.errors import ContextMismatchError, InternalError, MalformedInputError
 from gimel.fixtures import (
-    acyclic_pair,
     pretzel_2m37_fixture,
     s3_p754_fixture,
     s3_p976_fixture,
@@ -114,14 +118,6 @@ def test_euler():
     assert euler(pretzel_2m37_fixture(4)) == 1  # 2 - 1 at degrees 0, -1
     assert euler(s3_p976_fixture()) == 1
     assert euler(acyclic_pair(equivariant_ctx(2), 3, -2)) == 0
-
-
-def test_shift():
-    c = s3_p754_fixture()
-    s = shift(c, 2, 6)
-    assert s.degrees() == [1, 2]
-    assert s.labels(2) == (6, 6)
-    assert dense_rows(s, 1) == dense_rows(c, -1)
 
 
 def test_tensor_matches_worked_example():

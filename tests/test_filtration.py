@@ -253,6 +253,21 @@ def test_rejects_t_outside_unit_interval():
             gamma_at(s, psi, t)
 
 
+def test_rejects_a_class_vector_of_the_wrong_length():
+    s = _scalar(unknot_fixture(2))
+    psi = gornik_class_fixture(s)
+    assert len(psi) == s.dim(0) == 2
+    g = gamma_sweep(s, psi)
+    gimel = gimel_from_gamma(g, 2)
+    for bad in (psi + (F(1),), psi[:1], ()):
+        with pytest.raises(MalformedInputError):
+            gamma_at(s, bad, F(1, 2))
+        with pytest.raises(MalformedInputError):
+            gamma_sweep(s, bad)
+        with pytest.raises(MalformedInputError):
+            invariants_report(s, bad, g, gimel)
+
+
 def test_s_general_standard_matches_value1():
     s, psi = _tensor_example()
     assert s_general(s, 1) == F(-1, 2)

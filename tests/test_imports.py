@@ -1,5 +1,6 @@
-"""Every module-level import in the package and its tests is used, and the
-test oracles import nothing from the package's linear algebra.
+"""Every module-level import in the package, its tests and its demos is
+used, and the test oracles import nothing from the package's linear
+algebra.
 
 The check reads each file's syntax tree: a name bound by a top-level
 ``import`` or ``from ... import`` must occur somewhere else in the file,
@@ -16,7 +17,7 @@ import pytest
 ROOT = Path(__file__).resolve().parent.parent
 FILES = sorted(
     p
-    for d in (ROOT / "src" / "gimel", ROOT / "tests")
+    for d in (ROOT / "src" / "gimel", ROOT / "tests", ROOT / "demos")
     for p in d.glob("*.py")
     if p.name != "__init__.py"
 )
