@@ -200,6 +200,10 @@ def _load_report(path: str) -> Tuple[dict, PiecewiseLinear]:
         d = json.load(fh)
     if not isinstance(d, dict) or "gimel" not in d:
         raise MalformedInputError(f"{path}: not a report with a 'gimel' field")
+    if not isinstance(d.get("name", ""), str):
+        raise MalformedInputError(
+            f"{path}: field 'name' must be a string, got {d['name']!r}"
+        )
     return d, pl_from_dict(d["gimel"])
 
 

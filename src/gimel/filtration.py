@@ -15,7 +15,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Dict, NamedTuple, Sequence, Tuple
+from typing import Dict, List, NamedTuple, Sequence, Tuple
 
 from . import linalg
 from .complexes import GradedFreeComplex
@@ -26,15 +26,7 @@ from .errors import (
     NondegeneracyError,
 )
 from .pl import PiecewiseLinear
-from .ring import (
-    SPECIALIZED,
-    Poly,
-    Rational,
-    exact,
-    specialized_ctx,
-    standard_potential,
-    x_power,
-)
+from .ring import SPECIALIZED, Rational, exact, standard_potential, x_power
 from .verify import genus_bound
 
 Vector = Tuple[Fraction, ...]
@@ -53,28 +45,30 @@ class ScalarComplex:
     monomial basis, restricted to the homological window that the class
     membership questions need (degrees -1, 0, 1 for everything here).
 
-    ``cols[i]`` holds d^i column by column, one column per basis vector
-    of degree i, the form every reduction reads; a degree whose d^i has
-    no rows is absent."""
+    ``cols[i]`` holds d^i as one sparse column ``{row: value}`` (rows
+    ascending) per basis vector of degree i, the form every reduction
+    reads; a column is empty where d^i has no entries."""
 
     n: int
     potential: Tuple[Fraction, ...]
     basis: Dict[int, Tuple[Monomial, ...]]
-    cols: Dict[int, Tuple[Tuple[Fraction, ...], ...]]
+    cols: Dict[int, Tuple[linalg.Vector, ...]]
 
     def dim(self, i: int) -> int:
         return len(self.basis.get(i, ()))
 
     @property
     def mats(self) -> Dict[int, Tuple[Tuple[Fraction, ...], ...]]:
-        """Every d^i row by row: ``mats[i][r][c] == cols[i][c][r]``."""
-        return {i: tuple(zip(*cols)) for i, cols in self.cols.items()}
-
-    def columns(self, i: int) -> Tuple[Tuple[Fraction, ...], ...]:
-        """The columns of d^i; zero columns if it is absent."""
-        if i in self.cols:
-            return self.cols[i]
-        return ((Fraction(0),) * self.dim(i + 1),) * self.dim(i)
+        """A dense view of every d^i whose target has a basis, row by row:
+        ``mats[i][r][c] == cols[i][c].get(r, 0)``."""
+        zero = Fraction(0)
+        return {
+            i: tuple(
+                tuple(col.get(r, zero) for col in cols) for r in range(self.dim(i + 1))
+            )
+            for i, cols in self.cols.items()
+            if i + 1 in self.basis
+        }
 
 
 # The homological degrees the class membership questions read.
@@ -106,62 +100,75 @@ def expand(c: GradedFreeComplex) -> ScalarComplex:
         i: {(m.gen, m.a): p for p, m in enumerate(b)} for i, b in basis.items()
     }
 
-    cols: Dict[int, Tuple[Tuple[Fraction, ...], ...]] = {}
+    zero = Fraction(0)
+    cols: Dict[int, Tuple[linalg.Vector, ...]] = {}
     for i in degrees:
-        if i + 1 not in basis:
-            continue
-        by_col = c.cols.get(i, {})
+        by_col = c.cols.get(i, {}) if i + 1 in basis else {}
         out = []
         for m in basis[i]:
-            col = [Fraction(0)] * len(basis[i + 1])
+            col: linalg.Vector = {}
             xa = x_power(c.ctx, m.a)
             for tg, e in by_col.get(m.gen, {}).items():
                 for exps, coeff in (e * xa).terms:
-                    col[index[i + 1][(tg, exps[0])]] += coeff
-            out.append(tuple(col))
+                    r = index[i + 1][(tg, exps[0])]
+                    col[r] = col.get(r, zero) + coeff
+            out.append({r: col[r] for r in sorted(col) if col[r]})
         cols[i] = tuple(out)
     return ScalarComplex(n=n, potential=c.ctx.potential, basis=basis, cols=cols)
 
 
-def gornik_class_fixture(s: ScalarComplex) -> Vector:
-    """Distinguished degree-0 cocycle: the generator of the 1-dimensional
-    H^0 of the x^{n-1} subcomplex, checked not to be a full coboundary.
-    Scaled so its first nonzero coefficient is 1."""
-    n = s.n
-    sub = {
-        i: [p for p, m in enumerate(s.basis.get(i, ())) if m.k == n - 1]
-        for i in s.basis
-    }
-    sub0, sub1 = sub.get(0, []), sub.get(1, [])
+def _eigenclass(s: ScalarComplex, alpha: Fraction) -> Vector:
+    """A degree-0 cocycle whose class spans the alpha-eigenspace of x on
+    H^0, for a simple root alpha of the potential w.
 
-    # d0 restricted to the subcomplex; entries out of the subcomplex must die
-    rows_out = [r for r in range(s.dim(1)) if r not in sub1]
-    d0 = s.columns(0)
-    d0_sub = []
-    for col in sub0:
-        if any(d0[col][r] for r in rows_out):
-            raise InternalError("x-top subcomplex is not closed under d")
-        d0_sub.append([d0[col][r] for r in sub1])
-    dm1 = s.columns(-1)
-    boundaries = linalg.rref([[dm1[y][p] for p in sub0] for y in sub.get(-1, [])])
+    With q = w / (x - alpha), q (x - alpha) = 0 mod w, so e = q(x) / q(alpha)
+    is an idempotent and the eigenspace is H^0(eC).  The complex eC has one
+    basis vector q g per generator g, and its differential is d with x set
+    to alpha: column (g, 0) of d^i with each row (r, b) weighted by
+    alpha^b.  A cocycle c of eC is the chain with coordinate c_g q_a at
+    monomial (g, a)."""
+    # q by synthetic division of the monic potential: q[a] multiplies x^a
+    carry, q = Fraction(0), []
+    for c in reversed(s.potential[1:] + (Fraction(1),)):
+        carry = c + carry * alpha
+        q.append(carry)
+    q.reverse()
+    powers = [alpha**b for b in range(s.n)]
 
-    kernel = linalg.kernel(d0_sub)
-    rank_b = len(boundaries.pivots)
-    if len(kernel) - rank_b != 1:
+    def at_alpha(i: int) -> List[linalg.Vector]:
+        """d^i with x set to alpha, one column per generator of degree i."""
+        rows = s.basis.get(i + 1, ())
+        out = []
+        for m, col in zip(s.basis.get(i, ()), s.cols.get(i, ())):
+            if m.a == 0:
+                v: linalg.Vector = {}
+                for r, e in col.items():
+                    g = rows[r].gen
+                    v[g] = v.get(g, 0) + e * powers[rows[r].a]
+                out.append(v)
+        return out
+
+    cocycles = linalg.kernel(at_alpha(0))
+    coboundaries = linalg.rref(at_alpha(-1))
+    dim = len(cocycles) - len(coboundaries.pivots)
+    if dim != 1:
         raise NondegeneracyError(
-            "H^0 of the x-top subcomplex has dimension "
-            f"{len(kernel) - rank_b}, expected 1"
+            f"x on H^0 has an eigenspace of dimension {dim} for {alpha}, expected 1"
         )
-    # representative: the first kernel vector off the sub-coboundaries
-    rep = next((v for v in kernel if boundaries.reduce(dict(v)) is not None), None)
-    if rep is None:
-        raise NondegeneracyError("x-top cohomology class could not be represented")
+    # the first cocycle off the coboundaries; with dim 1 one always is
+    rep = next(z for z in cocycles if coboundaries.reduce(dict(z)) is not None)
+    return tuple(rep.get(m.gen, 0) * q[m.a] for m in s.basis[0])
 
-    psi = [Fraction(0)] * s.dim(0)
-    for k, val in rep.items():
-        psi[sub0[k]] = val
-    # must not be a coboundary in the full complex
-    if dm1 and linalg.rref(dm1).reduce({p: v for p, v in enumerate(psi) if v}) is None:
+
+def gornik_class_fixture(s: ScalarComplex) -> Vector:
+    """Distinguished degree-0 cocycle: the generator of the 1-eigenspace of
+    x on H^0, which for the potential x^n - x^{n-1} (q = x^{n-1}) sits on
+    the x-top monomials; checked not to be a full coboundary.  Scaled so
+    its first nonzero coefficient is 1."""
+    _require_standard(s)
+    psi = _eigenclass(s, Fraction(1))
+    support = {p: v for p, v in enumerate(psi) if v}
+    if linalg.rref(s.cols.get(-1, ())).reduce(support) is None:
         raise NondegeneracyError("distinguished class is null-cohomologous")
     lead = next(v for v in psi if v != 0)
     return tuple(v / lead for v in psi)
@@ -179,11 +186,23 @@ def _minimal_feasible_value(
     reduction: order the degree-0 coordinates by (score, index), with
     unscored ones above all scored ones, reduce the d^{-1} columns to
     distinct top coordinates, then reduce psi against them.  The score of
-    psi's remaining top coordinate is the answer."""
+    psi's remaining top coordinate is the answer.
+
+    psi must be a class: a nonzero cocycle that is not a coboundary;
+    anything else is MalformedInputError."""
     if len(psi) != s.dim(0):
         raise MalformedInputError(
             f"class vector has {len(psi)} coordinates, C^0 has dimension {s.dim(0)}"
         )
+    support = {p: exact(c) for p, c in enumerate(psi) if c}
+    if not support:
+        raise MalformedInputError("class vector is zero")
+    image: linalg.Vector = {}
+    for p, c in support.items():
+        for r, e in s.cols[0][p].items():
+            image[r] = image.get(r, 0) + c * e
+    if any(image.values()):
+        raise MalformedInputError("class vector is not a cocycle: d^0 psi != 0")
     if not scored:
         raise InternalError("no admissible monomials at all")
     score = {i: v for v, i in scored}
@@ -192,10 +211,10 @@ def _minimal_feasible_value(
     pos = [0] * len(order)
     for p, i in enumerate(order):
         pos[i] = p
-    coboundaries = linalg.rref(s.columns(-1), pos)
-    top = coboundaries.reduce({pos[r]: Fraction(c) for r, c in enumerate(psi) if c})
+    coboundaries = linalg.rref(s.cols.get(-1, ()), pos)
+    top = coboundaries.reduce({pos[r]: c for r, c in support.items()})
     if top is None:
-        return min(score.values())
+        raise MalformedInputError("class vector is a coboundary")
     if order[top] not in score:
         raise InternalError("distinguished class infeasible even with full support")
     return score[order[top]]
@@ -330,57 +349,11 @@ def s_general(s: ScalarComplex, alpha: Rational) -> Fraction:
     rational root alpha: the renormalized quantum filtration grading of the
     class generating the alpha-eigenspace of degree-0 cohomology.
 
-    That class is the image of H^0 under dw(x)/(x - alpha), which acts on
-    it as a projector onto the alpha-eigenspace up to a nonzero scalar."""
+    That class is the one ``_eigenclass`` finds."""
     alpha = exact(alpha)
     n = s.n
     _check_simple_root(s.potential, alpha)
-
-    # reps: cocycles independent modulo the coboundaries, which with them
-    # span every cocycle
-    coboundaries = s.columns(-1)
-    cocycles = linalg.rref(coboundaries)
-    reps = [z for z in linalg.kernel(s.columns(0)) if cocycles.add(dict(z)) is not None]
-    if not reps:
-        raise NondegeneracyError("degree-0 cohomology vanishes")
-
-    # dw(x)/(x - alpha) by synthetic division of the monic potential
-    full = list(s.potential) + [Fraction(1)]
-    quot = [Fraction(0)] * n
-    carry = Fraction(0)
-    for i in range(n, 0, -1):
-        carry = full[i] + carry * alpha
-        quot[i - 1] = carry
-    ctx = specialized_ctx(n, s.potential)
-    q = Poly.from_dict(ctx, {(i,): c for i, c in enumerate(quot)})
-    basis = s.basis[0]
-    index = {(m.gen, m.a): p for p, m in enumerate(basis)}
-
-    def project(v: linalg.Vector) -> linalg.Vector:
-        """dw(x)/(x - alpha) times the degree-0 chain v."""
-        out: linalg.Vector = {}
-        for p, c in v.items():
-            m = basis[p]
-            for exps, coeff in (q * x_power(ctx, m.a)).terms:
-                r = index[(m.gen, exps[0])]
-                out[r] = out.get(r, 0) + c * coeff
-        return {r: c for r, c in out.items() if c}
-
-    # the image classes; their rank is the dimension of the eigenspace
-    image = linalg.rref(coboundaries)
-    psi = None
-    dim = 0
-    for rep in reps:
-        w = project(rep)
-        if cocycles.reduce(dict(w)) is not None:
-            raise InternalError("dw(x)/(x - alpha) does not preserve cocycles")
-        if image.add(dict(w)) is not None:
-            dim += 1
-            if psi is None:
-                psi = w
-    if dim != 1:
-        raise NondegeneracyError(f"alpha-eigenspace has dimension {dim}, expected 1")
-
-    scored = [(Fraction(m.j), i) for i, m in enumerate(basis)]
-    gr = _minimal_feasible_value(s, [psi.get(p, 0) for p in range(len(basis))], scored)
+    psi = _eigenclass(s, alpha)
+    scored = [(Fraction(m.j), i) for i, m in enumerate(s.basis[0])]
+    gr = _minimal_feasible_value(s, psi, scored)
     return Fraction(gr - n + 1, 2 * (n - 1))

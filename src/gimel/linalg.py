@@ -6,9 +6,9 @@ the stored ones until its top is a position no stored vector has.  Rank,
 span membership, the lowest top a vector can be reduced to, and the
 dependencies among a list of vectors all come from that one loop.
 
-``rref`` and ``kernel`` pass each nonzero entry through ``ring.exact``: an
-int becomes a Fraction, so every division is exact, and a float is a
-TypeError.
+``rref`` and ``kernel`` take such vectors (zero entries are dropped) and
+pass each entry through ``ring.exact``: an int becomes a Fraction, so
+every division is exact, and a float is a TypeError.
 """
 
 from __future__ import annotations
@@ -57,20 +57,20 @@ class Echelon:
         return top
 
 
-def rref(rows: Sequence[Sequence[Fraction]], order: Optional[Sequence[int]] = None) -> Echelon:
-    """The rows, added in index order to a new Echelon.  Entry c of a row
-    sits at position ``order[c]`` (default c), so an order decides which
-    coordinates a reduction clears first: the highest positions."""
+def rref(vectors: Sequence[Vector], order: Optional[Sequence[int]] = None) -> Echelon:
+    """The vectors, added in index order to a new Echelon.  Entry c of a
+    vector sits at position ``order[c]`` (default c), so an order decides
+    which coordinates a reduction clears first: the highest positions."""
     e = Echelon()
-    for row in rows:
+    for v in vectors:
         if order is None:
-            e.add({c: exact(x) for c, x in enumerate(row) if x})
+            e.add({c: exact(x) for c, x in v.items() if x})
         else:
-            e.add({order[c]: exact(x) for c, x in enumerate(row) if x})
+            e.add({order[c]: exact(x) for c, x in v.items() if x})
     return e
 
 
-def kernel(columns: Sequence[Sequence[Fraction]]) -> List[Vector]:
+def kernel(columns: Sequence[Vector]) -> List[Vector]:
     """The dependencies found when ``columns`` are added in index order:
     for each column f that is a combination of earlier ones, the vector v
     (keyed by column index) with v[f] = 1 and sum v[c] * column c = 0.
@@ -84,7 +84,7 @@ def kernel(columns: Sequence[Sequence[Fraction]]) -> List[Vector]:
     e = Echelon()
     deps = []
     for f, column in enumerate(columns):
-        v = {c: exact(x) for c, x in enumerate(column) if x}
+        v = {c: exact(x) for c, x in column.items() if x}
         v[f - n] = Fraction(1)
         if e.add(v) < 0:
             deps.append({p + n: x for p, x in v.items()})

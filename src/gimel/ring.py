@@ -237,9 +237,10 @@ def _variable(name: str, ctx: RingCtx) -> Poly:
     """
     if name == "x":
         return x_power(ctx, 1)
-    if not (name.startswith("a") and name[1:].isdigit()):
+    index = name[1:]
+    if not (name.startswith("a") and index.isascii() and index.isdigit()):
         raise MalformedInputError(f"unknown variable {name!r}")
-    i = int(name[1:])
+    i = int(index)
     if i >= ctx.n:
         raise MalformedInputError(f"variable {name!r} out of range for n={ctx.n}")
     if ctx.kind == SPECIALIZED:
@@ -333,7 +334,10 @@ def potential_derivative(ctx: RingCtx, order: int = 1) -> Poly:
 
 # ---------------------------------------------------------------------------
 # text grammar: rational literals p/q, variables x and a0..a{n-1},
-# operators + - * ^, parentheses; juxtaposition is not allowed.
+# operators + - * ^, parentheses; juxtaposition is not allowed.  Digits
+# are ASCII 0-9 only: str.isdigit also accepts superscripts and other
+# scripts' digits, which int() rejects or reads as 0-9.
+_DIGITS = frozenset("0123456789")
 
 
 def parse_poly(text: str, ctx: RingCtx) -> Poly:
@@ -412,14 +416,14 @@ def _tokenize(text: str):
         elif ch in "+-*^()":
             tokens.append(ch)
             i += 1
-        elif ch.isdigit():
+        elif ch in _DIGITS:
             j = i
-            while j < len(text) and text[j].isdigit():
+            while j < len(text) and text[j] in _DIGITS:
                 j += 1
             num = int(text[i:j])
             if j < len(text) and text[j] == "/":
                 k = j + 1
-                while k < len(text) and text[k].isdigit():
+                while k < len(text) and text[k] in _DIGITS:
                     k += 1
                 if k == j + 1:
                     raise MalformedInputError("expected denominator after '/'")

@@ -226,6 +226,22 @@ def test_compute_rejects_a_name_that_is_not_a_string(runner, tmp_path):
     assert res.exit_code == 0 and json.loads(res.stdout)["name"] == ""
 
 
+def test_compute_rejects_digits_outside_ascii(runner, tmp_path):
+    d = fixture_to_dict(unknot_fixture(2), name="u")
+    d["modules"] = {"0": [0], "1": [0]}
+    cache = tmp_path / "cache"
+    for entry in ("x^\u00b2", "a\u0661"):
+        d["differentials"] = {"0": [[entry]]}
+        path = tmp_path / "digits.json"
+        path.write_text(json.dumps(d))
+        res = runner.invoke(
+            main, ["compute", "--fixture", str(path), "--cache-dir", str(cache)]
+        )
+        _assert_malformed(res)
+        assert res.stdout == ""
+    assert not cache.exists()
+
+
 def test_zero_denominator_in_entry(runner, tmp_path):
     d = {
         "name": "zero-denominator",
@@ -270,11 +286,14 @@ def test_verify_malformed_report(runner, tmp_path):
     short = tmp_path / "short.json"
     bad_gimel = {"breakpoints": ["0", "1"], "values": ["0"]}
     short.write_text(json.dumps(dict(rep, gimel=bad_gimel)))
-    for bad in (missing, short):
+    named = tmp_path / "named.json"
+    named.write_text(json.dumps(dict(rep, name=5)))
+    for bad in (missing, short, named):
         res = runner.invoke(
             main, ["verify", "--reports", str(bad), str(good), str(good)]
         )
         _assert_malformed(res)
+        assert res.stdout == ""
 
 
 def test_compute_validation_failure_exit_code(runner, tmp_path):
@@ -298,6 +317,23 @@ def test_compute_degenerate_class_exit_code(runner, tmp_path):
     path = _write_fixture(tmp_path, c, "double")
     res = runner.invoke(main, ["compute", "--fixture", path])
     assert res.exit_code == 3
+    # nothing to eliminate, and the 1-eigenspace of x on H^0 is not a
+    # line: two cycles (dimension 2), one acyclic pair (dimension 0)
+    base = {"name": "degenerate", "n": 2, "kind": "specialized", "potential": ["0", "-1"]}
+    cache = tmp_path / "cache"
+    for modules, differentials in (
+        ({"0": [0, 0]}, {}),
+        ({"0": [0], "1": [0]}, {"0": [["1"]]}),
+    ):
+        path = tmp_path / "degenerate.json"
+        path.write_text(json.dumps(dict(base, modules=modules, differentials=differentials)))
+        res = runner.invoke(
+            main, ["compute", "--fixture", str(path), "--cache-dir", str(cache)]
+        )
+        assert res.exit_code == 3, res.output
+        assert json.loads(res.stderr)["error"] == "NondegeneracyError"
+        assert res.stdout == ""
+    assert not cache.exists()
 
 
 def test_cache_round_trip(runner, tmp_path, monkeypatch):

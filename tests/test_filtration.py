@@ -14,9 +14,9 @@ from conftest import (
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from gimel.complexes import evaluate, tensor
+from gimel.complexes import GradedFreeComplex, evaluate, tensor
 from gimel.cube import build_equivariant_sl2, mirror, parse_pd
-from gimel.errors import InternalError, MalformedInputError
+from gimel.errors import InternalError, MalformedInputError, NondegeneracyError
 from gimel.filtration import (
     expand,
     gamma_at,
@@ -34,7 +34,7 @@ from gimel.fixtures import (
 )
 from gimel.pipeline import distinguished_summand
 from gimel.pl import PiecewiseLinear
-from gimel.ring import standard_potential
+from gimel.ring import constant, specialized_ctx, standard_potential
 
 
 def _scalar(c, n=None):
@@ -268,6 +268,48 @@ def test_rejects_a_class_vector_of_the_wrong_length():
             invariants_report(s, bad, g, gimel)
 
 
+def test_rejects_a_class_vector_that_is_not_a_nonzero_cocycle():
+    """The zero vector, a chain with d^0 != 0 and a coboundary all have the
+    right length; none is a class."""
+    s, psi = _tensor_example()
+    g = gamma_sweep(s, psi)
+    gimel = gimel_from_gamma(g, 3)
+    zero = (F(0),) * s.dim(0)
+    first = (F(1),) + zero[1:]
+    assert s.cols[0][0]  # d^0 of the first basis vector
+    column = s.cols[-1][0]  # d^-1 of the first basis vector of C^-1
+    assert column
+    coboundary = tuple(column.get(r, F(0)) for r in range(s.dim(0)))
+    for bad in (zero, first, coboundary):
+        with pytest.raises(MalformedInputError):
+            gamma_at(s, bad, F(1, 2))
+        with pytest.raises(MalformedInputError):
+            gamma_sweep(s, bad)
+        with pytest.raises(MalformedInputError):
+            invariants_report(s, bad, g, gimel)
+
+
+# Specialized n = 2 complexes at x^2 - x whose eigenspaces of x on H^0 are
+# not lines: two cycles (dimension 2 at both roots), and one acyclic pair.
+def _degenerate_complexes():
+    ctx = specialized_ctx(2, standard_potential(2))
+    one = constant(ctx, 1)
+    yield GradedFreeComplex.build(ctx, {0: [0, 0]}, {})
+    yield GradedFreeComplex.build(ctx, {0: [0], 1: [0]}, {0: {0: {0: one}}})
+
+
+def test_degenerate_eigenspaces_are_refused():
+    for c in _degenerate_complexes():
+        s = expand(c)
+        with pytest.raises(NondegeneracyError):
+            gornik_class_fixture(s)
+        for alpha in (1, 0):
+            with pytest.raises(NondegeneracyError):
+                s_general(s, alpha)
+            with pytest.raises(NondegeneracyError):
+                s_general_reference(s, alpha)
+
+
 def test_s_general_standard_matches_value1():
     s, psi = _tensor_example()
     assert s_general(s, 1) == F(-1, 2)
@@ -338,4 +380,6 @@ def test_gamma_at_and_s_general_reject_floats():
         gamma_at(s, psi, 0.5)
     with pytest.raises(TypeError):
         s_general(s, 1.0)
+    with pytest.raises(TypeError):
+        gamma_at(s, tuple(float(v) for v in psi), F(1, 2))
     assert gamma_at(s, psi, F(1, 2)) == F(-1, 2)

@@ -37,6 +37,10 @@ def _dense(v, length):
     return [v.get(c, Fraction(0)) for c in range(length)]
 
 
+def _sparse(row):
+    return {c: x for c, x in enumerate(row) if x}
+
+
 def _brute_top(rows, v, order):
     """The lowest position p such that v lies in the span of the rows and
     of the unit vectors at positions <= p; None if v is in the rows' span."""
@@ -57,13 +61,14 @@ def _brute_top(rows, v, order):
 def test_reduction_matches_dense_elimination(case):
     rows, v, order = case
     length = len(v)
-    assert len(rref(rows).pivots) == _rank(rows)
+    vectors = [_sparse(row) for row in rows]
+    assert len(rref(vectors).pivots) == _rank(rows)
     # the rows as columns of a matrix: its kernel, vector for vector
     matrix = [[row[r] for row in rows] for r in range(length)]
-    assert [_dense(d, len(rows)) for d in kernel(rows)] == _nullspace(matrix, len(rows))
-    in_span = rref(rows).reduce({c: x for c, x in enumerate(v) if x}) is None
+    assert [_dense(d, len(rows)) for d in kernel(vectors)] == _nullspace(matrix, len(rows))
+    in_span = rref(vectors).reduce({c: x for c, x in enumerate(v) if x}) is None
     assert in_span == (_rank(rows + [v]) == _rank(rows))
-    top = rref(rows, order).reduce({order[c]: x for c, x in enumerate(v) if x})
+    top = rref(vectors, order).reduce({order[c]: x for c, x in enumerate(v) if x})
     assert top == _brute_top(rows, v, order)
 
 
@@ -83,18 +88,18 @@ def test_compute_report_reduces_through_rref(monkeypatch):
 
 
 def test_int_entries_reduce_exactly():
-    deps = kernel([[2], [3]])
+    deps = kernel([{0: 2}, {0: 3}])
     assert deps == [{0: Fraction(-3, 2), 1: 1}]
     assert all(type(x) is Fraction for v in deps for x in v.values())
-    stored = rref([[2, 3], [4, 7]]).pivots
+    stored = rref([{0: 2, 1: 3}, {0: 4, 1: 7}]).pivots
     assert stored == {1: {0: 2, 1: 3}, 0: {0: Fraction(-2, 3)}}
     assert all(type(x) is Fraction for v in stored.values() for x in v.values())
 
 
 def test_float_entries_are_refused():
     with pytest.raises(TypeError):
-        kernel([[0.5], [1]])
+        kernel([{0: 0.5}, {0: 1}])
     with pytest.raises(TypeError):
-        rref([[1, 2.5]])
+        rref([{0: 1, 1: 2.5}])
     with pytest.raises(TypeError):
-        rref([[2.0, 0]], [0, 1])
+        rref([{0: 2.0}], [0, 1])

@@ -48,7 +48,10 @@ def test_parse_basic():
 
 def test_parse_rejects():
     ctx = equivariant_ctx(3)
-    for bad in ["x +", "2x", "a3", "a7 + 1", "x^-1", "x^(2)", "1/0", "(x"]:
+    # digits are 0-9 alone: str.isdigit also accepts a superscript two and
+    # the Arabic-Indic digits
+    other_digits = ["x^\u00b2", "\u0661", "a\u0661", "a\u00b2", "1/\u0662"]
+    for bad in ["x +", "2x", "a3", "a7 + 1", "x^-1", "x^(2)", "1/0", "(x"] + other_digits:
         with pytest.raises(MalformedInputError):
             parse_poly(bad, ctx)
 
