@@ -12,6 +12,7 @@ ordered reduction of the class against the coboundaries.
 
 from __future__ import annotations
 
+import itertools
 import math
 from dataclasses import dataclass
 from fractions import Fraction
@@ -163,15 +164,47 @@ def _eigenclass(s: ScalarComplex, alpha: Fraction) -> Vector:
 def gornik_class_fixture(s: ScalarComplex) -> Vector:
     """Distinguished degree-0 cocycle: the generator of the 1-eigenspace of
     x on H^0, which for the potential x^n - x^{n-1} (q = x^{n-1}) sits on
-    the x-top monomials; checked not to be a full coboundary.  Scaled so
-    its first nonzero coefficient is 1."""
+    the x-top monomials.  ``_eigenclass`` returns a cocycle that is not a
+    coboundary.  Scaled so its first nonzero coefficient is 1."""
     _require_standard(s)
     psi = _eigenclass(s, Fraction(1))
-    support = {p: v for p, v in enumerate(psi) if v}
-    if linalg.rref(s.cols.get(-1, ())).reduce(support) is None:
-        raise NondegeneracyError("distinguished class is null-cohomologous")
     lead = next(v for v in psi if v != 0)
     return tuple(v / lead for v in psi)
+
+
+def _class_support(s: ScalarComplex, psi: Sequence[Fraction]) -> linalg.Vector:
+    """The nonzero coordinates of psi, checked to be a nonzero cocycle of
+    C^0; a vector of the wrong length, zero or with d^0 psi != 0 is
+    MalformedInputError."""
+    if len(psi) != s.dim(0):
+        raise MalformedInputError(
+            f"class vector has {len(psi)} coordinates, C^0 has dimension {s.dim(0)}"
+        )
+    support = {p: exact(c) for p, c in enumerate(psi) if c}
+    if not support:
+        raise MalformedInputError("class vector is zero")
+    image: linalg.Vector = {}
+    for p, c in support.items():
+        for r, e in s.cols[0][p].items():
+            image[r] = image.get(r, 0) + c * e
+    if any(image.values()):
+        raise MalformedInputError("class vector is not a cocycle: d^0 psi != 0")
+    return support
+
+
+def _lowest_top(s: ScalarComplex, support: linalg.Vector, order: Sequence[int]) -> int:
+    """The C^0 index of the top coordinate of the class with this support
+    once it is reduced against the coboundaries, with the C^0 indices
+    ranked lowest first as in ``order``: the persistence reduction.  A
+    coboundary is MalformedInputError."""
+    pos = [0] * len(order)
+    for p, i in enumerate(order):
+        pos[i] = p
+    coboundaries = linalg.rref(s.cols.get(-1, ()), pos)
+    top = coboundaries.reduce({pos[r]: c for r, c in support.items()})
+    if top is None:
+        raise MalformedInputError("class vector is a coboundary")
+    return order[top]
 
 
 def _minimal_feasible_value(
@@ -190,34 +223,16 @@ def _minimal_feasible_value(
 
     psi must be a class: a nonzero cocycle that is not a coboundary;
     anything else is MalformedInputError."""
-    if len(psi) != s.dim(0):
-        raise MalformedInputError(
-            f"class vector has {len(psi)} coordinates, C^0 has dimension {s.dim(0)}"
-        )
-    support = {p: exact(c) for p, c in enumerate(psi) if c}
-    if not support:
-        raise MalformedInputError("class vector is zero")
-    image: linalg.Vector = {}
-    for p, c in support.items():
-        for r, e in s.cols[0][p].items():
-            image[r] = image.get(r, 0) + c * e
-    if any(image.values()):
-        raise MalformedInputError("class vector is not a cocycle: d^0 psi != 0")
+    support = _class_support(s, psi)
     if not scored:
         raise InternalError("no admissible monomials at all")
     score = {i: v for v, i in scored}
     order = sorted(score, key=lambda i: (score[i], i))
     order += [i for i in range(s.dim(0)) if i not in score]
-    pos = [0] * len(order)
-    for p, i in enumerate(order):
-        pos[i] = p
-    coboundaries = linalg.rref(s.cols.get(-1, ()), pos)
-    top = coboundaries.reduce({pos[r]: c for r, c in support.items()})
-    if top is None:
-        raise MalformedInputError("class vector is a coboundary")
-    if order[top] not in score:
+    top = _lowest_top(s, support, order)
+    if top not in score:
         raise InternalError("distinguished class infeasible even with full support")
-    return score[order[top]]
+    return score[top]
 
 
 def _require_standard(s: ScalarComplex) -> None:
@@ -240,36 +255,55 @@ def gamma_at(s: ScalarComplex, psi: Sequence[Fraction], t: Rational) -> Fraction
     return _minimal_feasible_value(s, psi, scored)
 
 
+def _candidates(tags: Sequence[Tuple[int, int]]) -> List[Fraction]:
+    """0, 1 and every t in (0, 1) where two distinct monomial tags (j, k)
+    exchange the order of their scores t(j + k) - k, ascending."""
+    candidates = {Fraction(0), Fraction(1)}
+    for (j1, k1), (j2, k2) in itertools.combinations(tags, 2):
+        den = (j1 + k1) - (j2 + k2)
+        if den != 0:
+            t = Fraction(k1 - k2, den)
+            if 0 < t < 1:
+                candidates.add(t)
+    return sorted(candidates)
+
+
 def gamma_sweep(s: ScalarComplex, psi: Sequence[Fraction]) -> PiecewiseLinear:
-    """Exact gamma on [0,1].
+    """Exact gamma on [0,1], one reduction per interval.
 
     Candidate breakpoints are the parameters where two distinct monomial
-    tags (j, k) exchange order; between consecutive candidates the sort
-    order is constant, so gamma is linear there and midpoint evaluations
-    certify the reconstruction.
+    tags (j, k) exchange order.  Inside an interval between consecutive
+    candidates the order of the scores is fixed, and monomials with equal
+    tags keep their index order, so one reduction at the midpoint finds
+    the top monomial m for the whole interval.  gamma is continuous, so it
+    is the line t(m.j + m.k) - m.k on the closed interval.
+
+    Certificate: neighbouring lines must agree where their intervals meet,
+    and the first and last lines must agree with a pointwise ``gamma_at``
+    at t = 0 and t = 1.  So every line is checked at both ends by a
+    separate reduction, and no midpoint is evaluated pointwise.
     """
     _require_standard(s)
-    tags = sorted({(m.j, m.k) for m in s.basis.get(0, ())})
-    candidates = {Fraction(0), Fraction(1)}
-    for i1 in range(len(tags)):
-        j1, k1 = tags[i1]
-        for i2 in range(i1 + 1, len(tags)):
-            j2, k2 = tags[i2]
-            den = (j1 + k1) - (j2 + k2)
-            if den != 0:
-                t = Fraction(k1 - k2, den)
-                if 0 < t < 1:
-                    candidates.add(t)
-    ts = sorted(candidates)
-    vals = [gamma_at(s, psi, t) for t in ts]
-    for a in range(len(ts) - 1):
-        mid = (ts[a] + ts[a + 1]) / 2
-        if gamma_at(s, psi, mid) * 2 != vals[a] + vals[a + 1]:
-            raise InternalError(
-                f"gamma is not linear on [{ts[a]}, {ts[a + 1]}]: "
-                "breakpoint enumeration bug"
-            )
-    return PiecewiseLinear.from_points(zip(ts, vals))
+    support = _class_support(s, psi)
+    basis = s.basis[0]
+    groups: Dict[Tuple[int, int], List[int]] = {}
+    for i, m in enumerate(basis):
+        groups.setdefault((m.j, m.k), []).append(i)
+    ts = _candidates(sorted(groups))
+    ends = []  # gamma's line on each interval, at its two ends
+    for lo, hi in zip(ts, ts[1:]):
+        # q times the score at the midpoint p/q: an int that ranks the tags alike
+        mid = (lo + hi) / 2
+        p, q = mid.numerator, mid.denominator
+        tags = sorted(groups, key=lambda jk: p * (jk[0] + jk[1]) - q * jk[1])
+        m = basis[_lowest_top(s, support, [i for tag in tags for i in groups[tag]])]
+        ends.append((lo * (m.j + m.k) - m.k, hi * (m.j + m.k) - m.k))
+    for t, (_, left), (right, _) in zip(ts[1:], ends, ends[1:]):
+        if left != right:
+            raise InternalError(f"gamma jumps at {t}: breakpoint enumeration bug")
+    if gamma_at(s, psi, 0) != ends[0][0] or gamma_at(s, psi, 1) != ends[-1][1]:
+        raise InternalError("gamma at 0 or 1 is off its line: breakpoint enumeration bug")
+    return PiecewiseLinear.from_points(zip(ts, [lo for lo, _ in ends] + [ends[-1][1]]))
 
 
 def gimel_from_gamma(gamma: PiecewiseLinear, n: int) -> PiecewiseLinear:

@@ -1,10 +1,14 @@
 import itertools
+import json
 from fractions import Fraction as F
+from pathlib import Path
 
 import pytest
 from conftest import (
     FIG8_PD,
     TREFOIL_PD,
+    _nullspace,
+    class_membership_oracle,
     cohomology_dimension,
     gamma_oracle,
     gornik_cocycle_sl2,
@@ -14,7 +18,10 @@ from conftest import (
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from gimel.complexes import GradedFreeComplex, evaluate, tensor
+import gimel.filtration
+import gimel.linalg
+from gimel.cli import fixture_from_dict
+from gimel.complexes import GradedFreeComplex, dual, evaluate, tensor
 from gimel.cube import build_equivariant_sl2, mirror, parse_pd
 from gimel.errors import InternalError, MalformedInputError, NondegeneracyError
 from gimel.filtration import (
@@ -32,7 +39,7 @@ from gimel.fixtures import (
     s3_p976_fixture,
     unknot_fixture,
 )
-from gimel.pipeline import distinguished_summand
+from gimel.pipeline import compute_report, distinguished_summand, specialize_for_sweep
 from gimel.pl import PiecewiseLinear
 from gimel.ring import constant, specialized_ctx, standard_potential
 
@@ -61,6 +68,20 @@ _ORACLE_CASES = [
     gornik_cocycle_sl2(mirror(parse_pd(TREFOIL_PD))),
     gornik_cocycle_sl2(parse_pd(FIG8_PD)),
 ]
+
+
+def _triple_tensor():
+    ab = tensor(s3_p754_fixture(), s3_p976_fixture())
+    return _with_class(tensor(ab, s3_p976_fixture()))
+
+
+def _bundled():
+    """The scalar complex and class of each fixture bundled in gimel/data,
+    as ``gimel compute --fixture`` builds them."""
+    for path in sorted((Path(gimel.__file__).parent / "data").glob("*.json")):
+        with open(path, "r", encoding="utf-8") as fh:
+            s = specialize_for_sweep(fixture_from_dict(json.load(fh)))
+        yield s, gornik_class_fixture(s)
 
 
 def _breakpoints_and_midpoints(s):
@@ -128,6 +149,17 @@ def test_gornik_class_unknot():
         assert [v for v in psi if v] == [1]
 
 
+def test_distinguished_class_is_not_a_coboundary():
+    """With no admissible coordinates the membership oracle's span is the
+    coboundaries alone (``_nullspace`` of zero columns is empty), so it
+    asks whether psi is a coboundary."""
+    assert _nullspace([[], [], []], 0) == []
+    cases = list(_bundled()) + _ORACLE_CASES + [_triple_tensor()]
+    assert len(cases) == 13 + len(_ORACLE_CASES) + 1
+    for s, psi in cases:
+        assert class_membership_oracle(s, psi, []) is False
+
+
 def test_gamma_at_matches_oracle_at_candidates():
     for s, psi in _ORACLE_CASES:
         assert s.dim(-1) or s.dim(1)
@@ -185,6 +217,62 @@ def test_gamma_sweep_matches_pointwise():
         g = gamma_sweep(s, psi)
         for t in (F(0), F(1, 5), F(1, 2), F(7, 9), F(1)):
             assert g(t) == gamma_at(s, psi, t)
+
+
+def test_gamma_sweep_matches_oracle():
+    for s, psi in _ORACLE_CASES + [_triple_tensor()]:
+        g = gamma_sweep(s, psi)
+        for t in _breakpoints_and_midpoints(s):
+            assert g(t) == gamma_oracle(s, psi, t), t
+
+
+@pytest.mark.parametrize("pd", [TREFOIL_PD, FIG8_PD])
+def test_connected_sum_with_the_reverse_mirror_is_slice(pd):
+    """K # -K is slice, so at n = 2 its gimel is 0.  The trefoil and the
+    figure eight are invertible, so -K is the mirror that ``dual`` gives."""
+    k = build_equivariant_sl2(parse_pd(pd))
+    rep = compute_report(tensor(k, dual(k)))
+    assert rep.gimel == PiecewiseLinear.zero()
+    assert rep.value1 == 0
+
+
+# Candidate lists that a faulty enumeration could give on the tensor
+# example, whose only kink is at t = 1/3, each caught by one part of the
+# sweep's certificate: the kink dropped (neighbouring lines disagree at
+# 1/4), one interval from 0 across the kink (its line is off gamma(0)), and
+# nothing past the kink (the last line is off gamma(1)).
+_FAULTY_CANDIDATES = [
+    [F(0), F(1, 5), F(1, 4), F(1, 2), F(1)],
+    [F(0), F(3, 4), F(1)],
+    [F(0), F(3, 5)],
+]
+
+
+@pytest.mark.parametrize("faulty", _FAULTY_CANDIDATES)
+def test_gamma_sweep_certificate_catches_a_missed_kink(monkeypatch, faulty):
+    s, psi = _tensor_example()
+    tags = sorted({(m.j, m.k) for m in s.basis[0]})
+    ts = [F(0), F(1, 5), F(1, 4), F(1, 3), F(1, 2), F(1)]
+    assert gimel.filtration._candidates(tags) == ts
+    monkeypatch.setattr(gimel.filtration, "_candidates", lambda tags: list(faulty))
+    with pytest.raises(InternalError):
+        gamma_sweep(s, psi)
+
+
+def test_gamma_sweep_reduces_once_per_interval(monkeypatch):
+    """Five intervals and the two end pins: seven reductions, where a sweep
+    that reduces at every candidate and midpoint makes eleven."""
+    s, psi = _tensor_example()
+    calls = [0]
+    rref = gimel.linalg.rref
+
+    def counting(*args, **kwargs):
+        calls[0] += 1
+        return rref(*args, **kwargs)
+
+    monkeypatch.setattr(gimel.linalg, "rref", counting)
+    gamma_sweep(s, psi)
+    assert calls[0] == 5 + 2
 
 
 @settings(max_examples=25, deadline=None)
