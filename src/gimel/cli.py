@@ -154,13 +154,19 @@ def _dump(obj) -> str:
     return json.dumps(obj, sort_keys=True, indent=2) + "\n"
 
 
-def load_fixture(path: str) -> GradedFreeComplex:
+def _read_json(path: str) -> Tuple[str, object]:
+    """The text of an input file and its JSON value.  Invalid JSON,
+    including bytes that are not UTF-8, is malformed input naming the file."""
     with open(path, "r", encoding="utf-8") as fh:
         try:
-            data = json.load(fh)
-        except json.JSONDecodeError as exc:
+            text = fh.read()
+            return text, json.loads(text)
+        except (UnicodeDecodeError, json.JSONDecodeError) as exc:
             raise MalformedInputError(f"{path}: invalid JSON: {exc}") from exc
-    return fixture_from_dict(data)
+
+
+def load_fixture(path: str) -> GradedFreeComplex:
+    return fixture_from_dict(_read_json(path)[1])
 
 
 def save_fixture(c: GradedFreeComplex, path: str, name: str = "") -> None:
@@ -196,8 +202,7 @@ def report_to_dict(rep: GimelReport) -> dict:
 
 def _load_report(path: str) -> Tuple[dict, PiecewiseLinear]:
     """A report file and its gimel profile."""
-    with open(path, "r", encoding="utf-8") as fh:
-        d = json.load(fh)
+    _, d = _read_json(path)
     if not isinstance(d, dict) or "gimel" not in d:
         raise MalformedInputError(f"{path}: not a report with a 'gimel' field")
     if not isinstance(d.get("name", ""), str):
@@ -241,7 +246,7 @@ def _guarded(fn):
                 if isinstance(exc, classes):
                     raise _fail(exc, code)
             raise _fail(exc, 1)
-        except (OSError, json.JSONDecodeError) as exc:
+        except OSError as exc:
             raise _fail(exc, 1)
 
     wrapper.__name__ = fn.__name__
@@ -336,8 +341,7 @@ def compute(fixture_path, pd_text, output, cache_dir):
         raise MalformedInputError("provide exactly one of --fixture and --pd")
 
     if fixture_path is not None:
-        with open(fixture_path, "r", encoding="utf-8") as fh:
-            raw = fh.read()
+        raw, data = _read_json(fixture_path)
         key = {"cmd": "compute", "fixture": raw}
     else:
         key = {"cmd": "compute", "pd": pd_text}
@@ -347,7 +351,6 @@ def compute(fixture_path, pd_text, output, cache_dir):
         return
 
     if fixture_path is not None:
-        data = json.loads(raw)
         c = _validated(fixture_from_dict(data), "fixture")
         rep = pipeline.compute_report(c, name=data.get("name", ""))
     else:

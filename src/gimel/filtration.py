@@ -16,7 +16,7 @@ import itertools
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Dict, List, NamedTuple, Sequence, Tuple
+from typing import Any, Callable, Dict, List, NamedTuple, Sequence, Tuple
 
 from . import linalg
 from .complexes import GradedFreeComplex
@@ -97,10 +97,6 @@ def expand(c: GradedFreeComplex) -> ScalarComplex:
             for a in range(n)
         )
 
-    index: Dict[int, Dict[Tuple[int, int], int]] = {
-        i: {(m.gen, m.a): p for p, m in enumerate(b)} for i, b in basis.items()
-    }
-
     zero = Fraction(0)
     cols: Dict[int, Tuple[linalg.Vector, ...]] = {}
     for i in degrees:
@@ -111,7 +107,7 @@ def expand(c: GradedFreeComplex) -> ScalarComplex:
             xa = x_power(c.ctx, m.a)
             for tg, e in by_col.get(m.gen, {}).items():
                 for exps, coeff in (e * xa).terms:
-                    r = index[i + 1][(tg, exps[0])]
+                    r = tg * n + exps[0]  # monomial x^a on g sits at g * n + a
                     col[r] = col.get(r, zero) + coeff
             out.append({r: col[r] for r in sorted(col) if col[r]})
         cols[i] = tuple(out)
@@ -128,13 +124,19 @@ def _eigenclass(s: ScalarComplex, alpha: Fraction) -> Vector:
     to alpha: column (g, 0) of d^i with each row (r, b) weighted by
     alpha^b.  A cocycle c of eC is the chain with coordinate c_g q_a at
     monomial (g, a)."""
-    # q by synthetic division of the monic potential: q[a] multiplies x^a
+    # synthetic division of the monic potential by x - alpha: the carries
+    # are q's coefficients from x^{n-1} down, then the remainder w(alpha)
     carry, q = Fraction(0), []
-    for c in reversed(s.potential[1:] + (Fraction(1),)):
+    for c in reversed(s.potential + (Fraction(1),)):
         carry = c + carry * alpha
         q.append(carry)
-    q.reverse()
+    if q.pop() != 0:
+        raise InvalidRootError(f"{alpha} is not a root of the potential")
+    q.reverse()  # q[a] multiplies x^a
     powers = [alpha**b for b in range(s.n)]
+    # w = (x - alpha) q, so w'(alpha) = q(alpha)
+    if sum(c * v for c, v in zip(q, powers)) == 0:
+        raise InvalidRootError(f"{alpha} is a multiple root of the potential")
 
     def at_alpha(i: int) -> List[linalg.Vector]:
         """d^i with x set to alpha, one column per generator of degree i."""
@@ -192,11 +194,16 @@ def _class_support(s: ScalarComplex, psi: Sequence[Fraction]) -> linalg.Vector:
     return support
 
 
-def _lowest_top(s: ScalarComplex, support: linalg.Vector, order: Sequence[int]) -> int:
-    """The C^0 index of the top coordinate of the class with this support
-    once it is reduced against the coboundaries, with the C^0 indices
-    ranked lowest first as in ``order``: the persistence reduction.  A
-    coboundary is MalformedInputError."""
+def _top(
+    s: ScalarComplex, support: linalg.Vector, key: Callable[[Monomial], Any]
+) -> Monomial:
+    """The top monomial of the class with this support once it is reduced
+    against the coboundaries, with the C^0 monomials ranked lowest first by
+    (key(monomial), index): the persistence reduction.  Its key is the
+    lowest level under that order at which the class has a representative,
+    so each invariant is read off it.  A coboundary is MalformedInputError."""
+    basis = s.basis[0]
+    order = sorted(range(len(basis)), key=lambda i: (key(basis[i]), i))
     pos = [0] * len(order)
     for p, i in enumerate(order):
         pos[i] = p
@@ -204,35 +211,7 @@ def _lowest_top(s: ScalarComplex, support: linalg.Vector, order: Sequence[int]) 
     top = coboundaries.reduce({pos[r]: c for r, c in support.items()})
     if top is None:
         raise MalformedInputError("class vector is a coboundary")
-    return order[top]
-
-
-def _minimal_feasible_value(
-    s: ScalarComplex,
-    psi: Sequence[Fraction],
-    scored: Sequence[Tuple[Fraction, int]],
-) -> Fraction:
-    """Minimal v such that some cocycle cohomologous to psi is supported on
-    the monomials of score <= v.
-
-    Every such cocycle is psi + d^{-1} y, so this is the persistence
-    reduction: order the degree-0 coordinates by (score, index), with
-    unscored ones above all scored ones, reduce the d^{-1} columns to
-    distinct top coordinates, then reduce psi against them.  The score of
-    psi's remaining top coordinate is the answer.
-
-    psi must be a class: a nonzero cocycle that is not a coboundary;
-    anything else is MalformedInputError."""
-    support = _class_support(s, psi)
-    if not scored:
-        raise InternalError("no admissible monomials at all")
-    score = {i: v for v, i in scored}
-    order = sorted(score, key=lambda i: (score[i], i))
-    order += [i for i in range(s.dim(0)) if i not in score]
-    top = _lowest_top(s, support, order)
-    if top not in score:
-        raise InternalError("distinguished class infeasible even with full support")
-    return score[top]
+    return basis[order[top]]
 
 
 def _require_standard(s: ScalarComplex) -> None:
@@ -249,10 +228,12 @@ def gamma_at(s: ScalarComplex, psi: Sequence[Fraction], t: Rational) -> Fraction
     t = exact(t)
     if not 0 <= t <= 1:
         raise MalformedInputError(f"t = {t} outside [0,1]")
-    scored = [
-        (t * (m.j + m.k) - m.k, i) for i, m in enumerate(s.basis.get(0, ()))
-    ]
-    return _minimal_feasible_value(s, psi, scored)
+    support = _class_support(s, psi)
+
+    def level(m: Monomial) -> Fraction:
+        return t * (m.j + m.k) - m.k
+
+    return level(_top(s, support, level))
 
 
 def _candidates(tags: Sequence[Tuple[int, int]]) -> List[Fraction]:
@@ -285,18 +266,13 @@ def gamma_sweep(s: ScalarComplex, psi: Sequence[Fraction]) -> PiecewiseLinear:
     """
     _require_standard(s)
     support = _class_support(s, psi)
-    basis = s.basis[0]
-    groups: Dict[Tuple[int, int], List[int]] = {}
-    for i, m in enumerate(basis):
-        groups.setdefault((m.j, m.k), []).append(i)
-    ts = _candidates(sorted(groups))
+    ts = _candidates(sorted({(m.j, m.k) for m in s.basis[0]}))
     ends = []  # gamma's line on each interval, at its two ends
     for lo, hi in zip(ts, ts[1:]):
-        # q times the score at the midpoint p/q: an int that ranks the tags alike
+        # q times the score at the midpoint p/q, an int: it ranks the monomials alike
         mid = (lo + hi) / 2
         p, q = mid.numerator, mid.denominator
-        tags = sorted(groups, key=lambda jk: p * (jk[0] + jk[1]) - q * jk[1])
-        m = basis[_lowest_top(s, support, [i for tag in tags for i in groups[tag]])]
+        m = _top(s, support, lambda mono: p * (mono.j + mono.k) - q * mono.k)
         ends.append((lo * (m.j + m.k) - m.k, hi * (m.j + m.k) - m.k))
     for t, (_, left), (right, _) in zip(ts[1:], ends, ends[1:]):
         if left != right:
@@ -336,12 +312,12 @@ def invariants_report(
 ) -> GimelReport:
     """Derived invariants plus internal-identity checks."""
     n = s.n
-    scored_top = [
-        (Fraction(m.j), i)
-        for i, m in enumerate(s.basis.get(0, ()))
-        if m.k == n - 1
-    ]
-    r = _minimal_feasible_value(s, psi, scored_top)
+    # r: the lowest quantum degree of a representative on the x-top
+    # monomials, which rank below every other monomial
+    top = _top(s, _class_support(s, psi), lambda m: (m.k != n - 1, m.j))
+    if top.k != n - 1:
+        raise InternalError("distinguished class infeasible even with full support")
+    r = Fraction(top.j)
     u = gamma(1)
     slope0 = gimel.slope_at_zero()
     value1 = gimel.value_at_one()
@@ -366,18 +342,6 @@ def invariants_report(
     )
 
 
-def _check_simple_root(potential: Tuple[Fraction, ...], alpha: Fraction) -> None:
-    n = len(potential)
-    value = alpha**n + sum(potential[i] * alpha**i for i in range(n))
-    deriv = n * alpha ** (n - 1) + sum(
-        i * potential[i] * alpha ** (i - 1) for i in range(1, n)
-    )
-    if value != 0:
-        raise InvalidRootError(f"{alpha} is not a root of the potential")
-    if deriv == 0:
-        raise InvalidRootError(f"{alpha} is a multiple root of the potential")
-
-
 def s_general(s: ScalarComplex, alpha: Rational) -> Fraction:
     """Concordance bound from a general monic potential with a simple
     rational root alpha: the renormalized quantum filtration grading of the
@@ -386,8 +350,6 @@ def s_general(s: ScalarComplex, alpha: Rational) -> Fraction:
     That class is the one ``_eigenclass`` finds."""
     alpha = exact(alpha)
     n = s.n
-    _check_simple_root(s.potential, alpha)
     psi = _eigenclass(s, alpha)
-    scored = [(Fraction(m.j), i) for i, m in enumerate(s.basis[0])]
-    gr = _minimal_feasible_value(s, psi, scored)
+    gr = _top(s, _class_support(s, psi), lambda m: m.j).j
     return Fraction(gr - n + 1, 2 * (n - 1))

@@ -14,7 +14,6 @@ from typing import Union
 
 from .complexes import GradedFreeComplex, evaluate
 from .cube import Diagram, build_equivariant_sl2, parse_pd
-from .errors import MalformedInputError
 from .filtration import (
     GimelReport,
     ScalarComplex,
@@ -34,13 +33,8 @@ def distinguished_summand(c: GradedFreeComplex) -> GradedFreeComplex:
 
 
 def specialize_for_sweep(c: GradedFreeComplex) -> ScalarComplex:
-    n = c.ctx.n
     if c.ctx.kind == EQUIVARIANT:
-        c = evaluate(distinguished_summand(c), standard_potential(n))
-    elif c.ctx.potential != standard_potential(n):
-        raise MalformedInputError(
-            "sweep requires the potential x^n - x^{n-1}"
-        )
+        c = evaluate(distinguished_summand(c), standard_potential(c.ctx.n))
     return expand(c)
 
 

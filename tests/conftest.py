@@ -11,8 +11,13 @@ import pytest
 
 from gimel.complexes import Columns, ComplexReport, GradedFreeComplex, dense_rows, evaluate
 from gimel.cube import Diagram, build_equivariant_sl2, resolve
-from gimel.errors import ContextMismatchError, InternalError, NondegeneracyError
-from gimel.filtration import ScalarComplex, _check_simple_root, expand
+from gimel.errors import (
+    ContextMismatchError,
+    InternalError,
+    InvalidRootError,
+    NondegeneracyError,
+)
+from gimel.filtration import ScalarComplex, expand
 from gimel.ring import (
     EQUIVARIANT,
     Poly,
@@ -25,7 +30,6 @@ from gimel.ring import (
     x_power,
     zero,
 )
-from gimel.simplify import _unit_value
 
 TREFOIL_PD = "PD[X[1,4,2,5],X[3,6,4,1],X[5,2,6,3]]"
 FIG8_PD = "PD[X[4,2,5,1],X[8,6,1,5],X[6,3,7,4],X[2,7,3,8]]"
@@ -158,10 +162,11 @@ def _mat_mul(a, b, cols: int):
 
 def dense_matrix(s: ScalarComplex, i: int):
     """d^i of s as a list of rows; the zero matrix if s stores none."""
-    mat = s.mats.get(i)
-    if mat is None:
-        return [[Fraction(0)] * s.dim(i) for _ in range(s.dim(i + 1))]
-    return [list(row) for row in mat]
+    rows = [[Fraction(0)] * s.dim(i) for _ in range(s.dim(i + 1))]
+    for c, col in enumerate(s.cols.get(i, ())):
+        for r, v in col.items():
+            rows[r][c] = v
+    return rows
 
 
 def x_action(s: ScalarComplex):
@@ -247,7 +252,12 @@ def s_general_reference(s: ScalarComplex, alpha) -> Fraction:
     class generating the alpha-eigenspace of degree-0 cohomology."""
     alpha = exact(alpha)
     n = s.n
-    _check_simple_root(s.potential, alpha)
+    # w(alpha) and w'(alpha), term by term from the monic potential
+    full = list(s.potential) + [Fraction(1)]
+    if sum(c * alpha**a for a, c in enumerate(full)) != 0:
+        raise InvalidRootError(f"{alpha} is not a root of the potential")
+    if sum(a * c * alpha ** (a - 1) for a, c in enumerate(full) if a) == 0:
+        raise InvalidRootError(f"{alpha} is a multiple root of the potential")
 
     n0 = s.dim(0)
     d0 = dense_matrix(s, 0)
@@ -281,7 +291,6 @@ def s_general_reference(s: ScalarComplex, alpha) -> Fraction:
 
     # projector onto the alpha-eigenspace: dw(x)/(x - alpha) evaluated at
     # the induced action; synthetic division of the monic potential
-    full = list(s.potential) + [Fraction(1)]
     quot = [Fraction(0)] * n
     carry = Fraction(0)
     for i in range(n, 0, -1):
@@ -562,7 +571,7 @@ def gauss_reference(c: GradedFreeComplex) -> GradedFreeComplex:
     """
     alive: Dict[int, List[bool]] = {i: [True] * c.rank(i) for i in c.degrees()}
     mats: Dict[int, Dict[Tuple[int, int], Poly]] = {}
-    for i, _ in c.diffs:
+    for i in c.cols:
         d = dense_rows(c, i)
         mats[i] = {
             (r, col): e
@@ -586,9 +595,10 @@ def gauss_reference(c: GradedFreeComplex) -> GradedFreeComplex:
                 row_nnz[r] = row_nnz.get(r, 0) + 1
                 col_nnz[col] = col_nnz.get(col, 0) + 1
             for (r, col) in sorted(mat):
-                u = _unit_value(mat[(r, col)])
-                if u is None:
-                    continue
+                terms = mat[(r, col)].terms
+                if len(terms) != 1 or any(terms[0][0]):
+                    continue  # not a nonzero rational constant
+                u = terms[0][1]
                 cost = (row_nnz[r] - 1) * (col_nnz[col] - 1)
                 key = (cost, i, r, col)
                 if best is None or key < best[0]:
@@ -711,7 +721,7 @@ def split_reference(c: GradedFreeComplex) -> Tuple[GradedFreeComplex, ...]:
         if ra != rb:
             parent[max(ra, rb)] = min(ra, rb)
 
-    for i, _ in c.diffs:
+    for i in c.cols:
         mat = dense_rows(c, i)
         for r in range(c.rank(i + 1)):
             for col in range(c.rank(i)):
@@ -730,7 +740,7 @@ def split_reference(c: GradedFreeComplex) -> Tuple[GradedFreeComplex, ...]:
         }
         mods = {i: [c.labels(i)[k] for k in idx[i]] for i in idx if idx[i]}
         diffs = {}
-        for i, _ in c.diffs:
+        for i in c.cols:
             src, tgt = idx.get(i, []), idx.get(i + 1, [])
             if not src or not tgt:
                 continue

@@ -159,12 +159,17 @@ def test_compute_input_errors(runner, tmp_path):
     bad = tmp_path / "bad.json"
     bad.write_text("{not json")
     res = runner.invoke(main, ["compute", "--fixture", str(bad)])
-    assert res.exit_code == 1
+    _assert_malformed(res)
+    assert json.loads(res.stderr)["message"].startswith(f"{bad}: invalid JSON: ")
+    bad.write_bytes(b"\xff{}")  # not UTF-8
+    _assert_malformed(runner.invoke(main, ["compute", "--fixture", str(bad)]))
     res = runner.invoke(main, ["compute", "--pd", "PD[X[1,1,1,2]]"])
     assert res.exit_code == 1
     path = _write_fixture(tmp_path, unknot_fixture(2), "u")
     res = runner.invoke(main, ["compute", "--fixture", path, "--pd", TREFOIL_PD])
     assert res.exit_code == 1
+    path = _write_fixture(tmp_path, evaluate(pretzel_2m37_fixture(3), (0, -1, 0)), "x3mx")
+    _assert_malformed(runner.invoke(main, ["compute", "--fixture", path]))
 
 
 def test_compute_short_differential_row(runner, tmp_path):
@@ -288,7 +293,12 @@ def test_verify_malformed_report(runner, tmp_path):
     short.write_text(json.dumps(dict(rep, gimel=bad_gimel)))
     named = tmp_path / "named.json"
     named.write_text(json.dumps(dict(rep, name=5)))
-    for bad in (missing, short, named):
+    invalid = tmp_path / "invalid.json"
+    invalid.write_text("{not json")
+    latin1 = tmp_path / "latin1.json"
+    text = json.dumps(dict(rep, name="caf\xe9"), ensure_ascii=False)
+    latin1.write_bytes(text.encode("latin-1"))  # not UTF-8
+    for bad in (missing, short, named, invalid, latin1):
         res = runner.invoke(
             main, ["verify", "--reports", str(bad), str(good), str(good)]
         )

@@ -190,10 +190,11 @@ def _cube(pd):
 def _entries(c):
     """Every stored slot with its coefficients' types, so that an int and
     an equal Fraction do not compare equal."""
-    return [
-        (i, [[[(e, v, type(v)) for e, v in p.terms] for p in row] for row in mat])
-        for i, mat in c.diffs
-    ]
+
+    def typed(p):
+        return [(e, v, type(v)) for e, v in p.terms]
+
+    return [(i, [[typed(p) for p in row] for row in dense_rows(c, i)]) for i in c.cols]
 
 
 TENSOR_INPUTS = {
@@ -229,7 +230,9 @@ def test_tensor_matches_accumulating_reference(name):
 
 
 def _nonzeros(c):
-    return sum(1 for _, mat in c.diffs for row in mat for e in row if not e.is_zero())
+    return sum(
+        1 for i in c.cols for row in dense_rows(c, i) for e in row if not e.is_zero()
+    )
 
 
 def test_tensor_assembly_only_negates_second_factor(poly_builds):
@@ -309,7 +312,7 @@ def test_dense_rows_round_trip_through_the_stored_form(data):
     ctx = equivariant_ctx(2)
     mods, diffs = _dense_matrices(data, ctx)
     c = GradedFreeComplex.from_rows(ctx, mods, diffs)
-    back = {i: [list(row) for row in mat] for i, mat in c.diffs}
+    back = {i: dense_rows(c, i) for i in c.cols}
     z = zero(ctx)
     want = {
         i: [[e if e.terms else z for e in row] for row in mat]
@@ -362,7 +365,8 @@ def test_build_drops_zeros_and_keeps_a_zero_differential():
     )
     assert c.cols == {0: {1: {1: x}}, 1: {}}
     assert list(c.cols) == [0, 1]
-    assert [(i, len(mat), len(mat[0])) for i, mat in c.diffs] == [(0, 2, 2), (1, 1, 2)]
+    mats = {i: dense_rows(c, i) for i in c.cols}
+    assert [(i, len(mat), len(mat[0])) for i, mat in mats.items()] == [(0, 2, 2), (1, 1, 2)]
 
 
 def test_build_sorts_columns_and_rows():

@@ -1,5 +1,6 @@
 import itertools
 import json
+import re
 from fractions import Fraction as F
 from pathlib import Path
 
@@ -319,7 +320,7 @@ def test_invariants_report_rejects_class_off_x_top():
     psi = (F(1), F(0))
     assert s.basis[0][0].a == 0
     g = gamma_sweep(s, psi)
-    with pytest.raises(InternalError):
+    with pytest.raises(InternalError, match="infeasible even with full support"):
         invariants_report(s, psi, g, gimel_from_gamma(g, 2))
 
 
@@ -331,6 +332,9 @@ def test_rejects_nonstandard_potential():
         gamma_at(s, psi, F(1, 2))
     with pytest.raises(MalformedInputError):
         gamma_sweep(s, psi)
+    c = evaluate(pretzel_2m37_fixture(3), (0, -1, 0))  # x^3 - x
+    with pytest.raises(MalformedInputError, match=re.escape("the potential x^n - x^{n-1}")):
+        compute_report(c)
 
 
 def test_rejects_t_outside_unit_interval():
@@ -458,8 +462,11 @@ def test_s_general_rejects_bad_root():
     s = _scalar(unknot_fixture(2))
     from gimel.errors import InvalidRootError
 
-    with pytest.raises(InvalidRootError):
+    with pytest.raises(InvalidRootError, match="not a root"):
         s_general(s, 7)
+    # 0 is a double root of x^2
+    with pytest.raises(InvalidRootError, match="multiple root"):
+        s_general(expand(evaluate(unknot_fixture(2), (0, 0))), 0)
 
 
 def test_gamma_at_and_s_general_reject_floats():

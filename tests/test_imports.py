@@ -1,6 +1,6 @@
 """Every module-level import in the package, its tests and its demos is
 used, and the test oracles import nothing from the package's linear
-algebra.
+algebra and no private (underscore-prefixed) name of the package.
 
 The check reads each file's syntax tree: a name bound by a top-level
 ``import`` or ``from ... import`` must occur somewhere else in the file,
@@ -71,3 +71,37 @@ def test_linalg_import_scan():
 def test_oracles_share_no_elimination_with_the_package():
     """The oracles in conftest.py eliminate with their own code."""
     assert linalg_imports((ROOT / "tests" / "conftest.py").read_text(encoding="utf-8")) == []
+
+
+def private_imports(source: str):
+    """Lines of the import statements that take an underscore-prefixed
+    module or name from ``gimel``."""
+    found = []
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, ast.Import):
+            paths = [alias.name.split(".") for alias in node.names]
+        elif isinstance(node, ast.ImportFrom) and node.module:
+            paths = [node.module.split(".") + [alias.name] for alias in node.names]
+        else:
+            continue
+        if any(p[0] == "gimel" and any(n.startswith("_") for n in p[1:]) for p in paths):
+            found.append(node.lineno)
+    return found
+
+
+def test_private_import_scan():
+    src = (
+        "from gimel.filtration import ScalarComplex, _top\n"
+        "from gimel import _private\n"
+        "import gimel._module\n"
+        "from gimel._module import name\n"
+        "from gimel.ring import exact\n"
+        "from os import _exit\n"
+        "import gimel.linalg\n"
+    )
+    assert private_imports(src) == [1, 2, 3, 4]
+
+
+def test_oracles_import_no_private_name_of_the_package():
+    """The oracles in conftest.py use only the package's public names."""
+    assert private_imports((ROOT / "tests" / "conftest.py").read_text(encoding="utf-8")) == []

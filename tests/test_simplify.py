@@ -45,7 +45,7 @@ from gimel.simplify import (
 
 
 def _no_unit_entries(c):
-    for i, _ in c.diffs:
+    for i in c.cols:
         for row in dense_rows(c, i):
             for e in row:
                 if len(e.terms) == 1 and not any(e.terms[0][0]) :
@@ -101,7 +101,7 @@ def _rescaled_fig8():
             [e * Fraction(col + 1, r + 1) for col, e in enumerate(row)]
             for r, row in enumerate(dense_rows(c, i))
         ]
-        for i, _ in c.diffs
+        for i in c.cols
     }
     return GradedFreeComplex.from_rows(c.ctx, dict(c.modules), diffs)
 
@@ -148,14 +148,14 @@ def test_coefficients_stay_exact_up_to_the_sweep(name):
     # Integral coefficients are ints and the rest Fractions; none is a float.
     c = SWEEP_INPUTS[name]()
     g = gauss_simplify(c)
-    for _, mat in g.diffs:
-        for e in (e for row in mat for e in row):
+    for i in g.cols:
+        for e in (e for row in dense_rows(g, i) for e in row):
             assert all(
                 type(v) is int or (type(v) is Fraction and v.denominator != 1)
                 for _, v in e.terms
             )
     s = specialize_for_sweep(c)
-    assert all(_exact(v) for mat in s.mats.values() for row in mat for v in row)
+    assert all(_exact(v) for cols in s.cols.values() for col in cols for v in col.values())
     rep = compute_report(c)
     scalars = [rep.r, rep.u, rep.slope0, rep.value1, rep.s_invariant,
                rep.genus_bound, rep.genus_bound_ceil]
