@@ -48,7 +48,7 @@ from .fixtures import (
     s3_p976_fixture,
     unknot_fixture,
 )
-from .pipeline import compute_report, compute_report_pd, distinguished_summand
+from .pipeline import compute_report, compute_report_pd
 from .pl import PiecewiseLinear
 from .ring import (
     Poly,

@@ -40,7 +40,6 @@ from .ring import (
     parse_poly,
     specialized_ctx,
 )
-from .simplify import extract_sn, gauss_simplify, split_components
 
 # ---------------------------------------------------------------------------
 # rationals and piecewise-linear functions
@@ -284,12 +283,10 @@ def _cache_load(path: str) -> str:
     """A cache entry's text, served only if it is exactly the canonical
     dump of a report; anything else (a truncated or foreign entry) is
     malformed input, never a result."""
-    with open(path, "r", encoding="utf-8") as fh:
-        text = fh.read()
     try:
-        d = json.loads(text)
-    except json.JSONDecodeError:
-        d = None
+        text, d = _read_json(path)
+    except MalformedInputError:
+        text, d = "", None
     if not (isinstance(d, dict) and d.keys() == REPORT_KEYS and _dump(d) == text):
         raise MalformedInputError(f"{path}: corrupt cache entry, not a report")
     return text
@@ -367,10 +364,9 @@ def compute(fixture_path, pd_text, output, cache_dir):
 @_guarded
 def decompose(fixture_path, output):
     """Simplify, split into summands, and identify the distinguished one."""
-    c = _validated(load_fixture(fixture_path), "fixture")
-    summands = split_components(gauss_simplify(c))
-    sn = extract_sn(summands)
-    sn_index = next(i for i, s in enumerate(summands) if s is sn)
+    summands, sn_index = pipeline.decompose(
+        _validated(load_fixture(fixture_path), "fixture")
+    )
     out = {
         "summands": [
             fixture_to_dict(s, name=f"summand{i}")

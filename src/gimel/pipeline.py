@@ -1,5 +1,5 @@
 """End-to-end orchestration: from an equivariant or specialized complex
-(or a planar diagram) to the full invariant report.
+(or a planar diagram) to the full invariant report, or to its summands.
 
 Equivariant inputs are simplified first: Gaussian elimination over the
 equivariant ring only ever cancels degree-0 constant entries, so it is a
@@ -10,7 +10,7 @@ filtration degree, where elimination would not be filtration-safe).
 
 from __future__ import annotations
 
-from typing import Union
+from typing import Tuple, Union
 
 from .complexes import GradedFreeComplex, evaluate
 from .cube import Diagram, build_equivariant_sl2, parse_pd
@@ -27,14 +27,15 @@ from .ring import EQUIVARIANT, standard_potential
 from .simplify import extract_sn, gauss_simplify, split_components
 
 
-def distinguished_summand(c: GradedFreeComplex) -> GradedFreeComplex:
-    """Simplify an equivariant complex and keep the odd-Euler summand."""
-    return extract_sn(split_components(gauss_simplify(c)))
+def decompose(c: GradedFreeComplex) -> Tuple[Tuple[GradedFreeComplex, ...], int]:
+    """The summands of the simplified complex and the index of the odd-Euler one."""
+    summands = split_components(gauss_simplify(c))
+    return summands, summands.index(extract_sn(summands))
 
 
 def specialize_for_sweep(c: GradedFreeComplex) -> ScalarComplex:
     if c.ctx.kind == EQUIVARIANT:
-        c = evaluate(distinguished_summand(c), standard_potential(c.ctx.n))
+        c = evaluate(gauss_simplify(c), standard_potential(c.ctx.n))
     return expand(c)
 
 

@@ -37,7 +37,7 @@ from gimel.fixtures import (
 from gimel.pipeline import (
     compute_report,
     compute_report_pd,
-    distinguished_summand,
+    decompose,
     specialize_for_sweep,
 )
 from gimel.pl import PiecewiseLinear
@@ -153,8 +153,8 @@ def test_theorem_suite():
         (pretzel_2m37_fixture(3), s3_p754_fixture()),
         (pretzel_2m37_fixture(3), dual(pretzel_2m37_fixture(3))),
     ]
-    tref = distinguished_summand(build_equivariant_sl2(parse_pd(TREFOIL_PD)))
-    fig8 = distinguished_summand(build_equivariant_sl2(parse_pd(FIG8_PD)))
+    tref = gauss_simplify(build_equivariant_sl2(parse_pd(TREFOIL_PD)))
+    fig8 = gauss_simplify(build_equivariant_sl2(parse_pd(FIG8_PD)))
     pairs.append((tref, fig8))
     pairs.append((tref, tref))
     for a, b in pairs:
@@ -215,7 +215,8 @@ def test_everything_validates():
         evaluate(pretzel_2m37_fixture(3), standard_potential(3)),
     ]
     cs.extend(build_equivariant_sl2(parse_pd(pd)) for pd in PD_CORPUS)
-    cs.extend(distinguished_summand(build_equivariant_sl2(parse_pd(pd))) for pd in PD_CORPUS)
+    for pd in PD_CORPUS:
+        cs.extend(decompose(build_equivariant_sl2(parse_pd(pd)))[0])
     for c in cs:
         rep = validate(c)
         assert rep.ok, rep.failures

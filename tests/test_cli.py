@@ -327,6 +327,7 @@ def test_compute_degenerate_class_exit_code(runner, tmp_path):
     path = _write_fixture(tmp_path, c, "double")
     res = runner.invoke(main, ["compute", "--fixture", path])
     assert res.exit_code == 3
+    assert json.loads(res.stderr)["error"] == "NondegeneracyError"
     # nothing to eliminate, and the 1-eigenspace of x on H^0 is not a
     # line: two cycles (dimension 2), one acyclic pair (dimension 0)
     base = {"name": "degenerate", "n": 2, "kind": "specialized", "potential": ["0", "-1"]}
@@ -344,6 +345,24 @@ def test_compute_degenerate_class_exit_code(runner, tmp_path):
         assert json.loads(res.stderr)["error"] == "NondegeneracyError"
         assert res.stdout == ""
     assert not cache.exists()
+
+
+def test_extra_summand_with_cohomology_in_the_eigenspace(runner, tmp_path):
+    # unknot_n2 plus q^2 R --(x + a1)--> q^0 R: the extra summand has Euler
+    # characteristic 0, but at x^2 - x its H^0 adds a second 1-eigenvector
+    path = tmp_path / "extra.json"
+    path.write_text(json.dumps({
+        "name": "extra", "n": 2, "kind": "equivariant",
+        "modules": {"0": [0, 2], "1": [0]},
+        "differentials": {"0": [["0", "x + a1"]]},
+    }))
+    res = runner.invoke(main, ["compute", "--fixture", str(path)])
+    assert res.exit_code == 3 and res.stdout == ""
+    assert json.loads(res.stderr)["error"] == "NondegeneracyError"
+    res = runner.invoke(main, ["decompose", "--fixture", str(path)])
+    assert res.exit_code == 0
+    out = json.loads(res.stdout)
+    assert out["euler"] == [1, 0] and out["distinguished"] == 0
 
 
 def test_cache_round_trip(runner, tmp_path, monkeypatch):
@@ -378,9 +397,10 @@ def test_compute_rejects_corrupt_cache_entry(runner, tmp_path):
         good[:-1],  # truncated by its final newline only
         _dump({"n": 2}),  # canonical JSON, but not a report
         json.dumps(json.loads(good)) + "\n",  # a report, but not canonical
+        b"\xff",  # not UTF-8
     ]
     for text in corrupt:
-        entry.write_text(text)
+        entry.write_bytes(text if isinstance(text, bytes) else text.encode())
         res = runner.invoke(main, ["compute", "--fixture", path], env=env)
         assert res.exit_code == 1 and res.stdout == ""
         err = json.loads(res.stderr)

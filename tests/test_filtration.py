@@ -40,9 +40,10 @@ from gimel.fixtures import (
     s3_p976_fixture,
     unknot_fixture,
 )
-from gimel.pipeline import compute_report, distinguished_summand, specialize_for_sweep
+from gimel.pipeline import compute_report, specialize_for_sweep
 from gimel.pl import PiecewiseLinear
 from gimel.ring import constant, specialized_ctx, standard_potential
+from gimel.simplify import gauss_simplify
 
 
 def _scalar(c, n=None):
@@ -419,8 +420,8 @@ def test_s_general_other_potentials():
     assert s_general(s, 1) == 0
 
 
-def _summand(d):
-    return lambda: distinguished_summand(build_equivariant_sl2(d))
+def _eliminated(d):
+    return lambda: gauss_simplify(build_equivariant_sl2(d))
 
 
 _KNOTS = (
@@ -442,10 +443,10 @@ S_GENERAL_CASES = {
     },
     "unknot, x^2 - 1": (lambda: unknot_fixture(2), (-1, 0), [1, -1]),
     **{
-        f"{name}, x^2 - x": (_summand(d), (0, -1), [0, 1]) for name, d in _KNOTS
+        f"{name}, x^2 - x": (_eliminated(d), (0, -1), [0, 1]) for name, d in _KNOTS
     },
     **{
-        f"{name}, x^2 - 1": (_summand(d), (-1, 0), [1, -1]) for name, d in _KNOTS
+        f"{name}, x^2 - 1": (_eliminated(d), (-1, 0), [1, -1]) for name, d in _KNOTS
     },
 }
 
